@@ -1,0 +1,12 @@
+"""Make the benchmark's modules importable and the program findable."""
+
+import sys
+from pathlib import Path
+
+BENCH_DIR = Path(__file__).resolve().parents[1]
+if str(BENCH_DIR) not in sys.path:
+    sys.path.insert(0, str(BENCH_DIR))
+
+import common  # noqa: E402
+
+common.require_program()
