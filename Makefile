@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test coverage lint check check-warm ratchet-update docs bench bench-pipeline bench-xlarge bench-serve bench-stream bench-temporal report data clean
+.PHONY: install test coverage lint check check-warm ratchet-update docs bench perfbench-test bench-pipeline bench-xlarge bench-serve bench-stream bench-temporal report data clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
@@ -38,6 +38,10 @@ docs:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# Tests of the end-to-end benchmark harness (perfbench/, about a minute).
+perfbench-test:
+	$(PYTHON) -m pytest perfbench/tests -q
 
 bench-pipeline:
 	PYTHONPATH=src $(PYTHON) -m repro.cli bench --out BENCH_pipeline.json

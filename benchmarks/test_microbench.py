@@ -1,8 +1,9 @@
 """Engineering micro-benches for the hot substrate paths.
 
 These document the throughput of the primitives the pipeline leans on:
-radix-trie construction and lookups, range→CIDR decomposition, RPSL
-parsing, and Gao-Rexford propagation.
+prefix-map construction and lookups (``PrefixTrie``: a packed-key dict
+probed once per stored length), range→CIDR decomposition, RPSL parsing,
+and Gao-Rexford propagation.
 """
 
 import random

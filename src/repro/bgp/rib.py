@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import (
-    AbstractSet,
     Dict,
     FrozenSet,
     Iterable,
@@ -51,11 +49,8 @@ class RoutingTable:
     """Prefix → origin-AS view with exact and covering lookups."""
 
     def __init__(self) -> None:
-        self._trie: PrefixTrie[Set[int]] = PrefixTrie()
-        # Native hash index over the same origin sets the trie stores;
-        # exact-match lookups (one per allocation-tree leaf) skip the
-        # per-bit trie walk entirely.
-        self._exact: Dict[Prefix, Set[int]] = {}
+        # Per prefix: origin AS -> number of rows that announced it.
+        self._trie: PrefixTrie[Dict[int, int]] = PrefixTrie()
         self._origin_prefixes: Dict[int, Set[Prefix]] = defaultdict(set)
         self._entry_count = 0
 
@@ -70,12 +65,11 @@ class RoutingTable:
 
     def add_route(self, prefix: Prefix, origin: int) -> None:
         """Record that *origin* was seen originating *prefix*."""
-        origins = self._exact.get(prefix)
+        origins = self._trie.exact(prefix)
         if origins is None:
-            origins = set()
+            origins = {}
             self._trie.insert(prefix, origins)
-            self._exact[prefix] = origins
-        origins.add(origin)
+        origins[origin] = origins.get(origin, 0) + 1
         self._origin_prefixes[origin].add(prefix)
         self._entry_count += 1
 
@@ -89,10 +83,10 @@ class RoutingTable:
         """Remove every route for *prefix* (all origins, all indexes).
 
         Returns True when the prefix was advertised.  This is the only
-        supported way to retract a route — it keeps the trie, the exact
-        index, and the per-origin sets consistent.
+        supported way to retract a route — it keeps the prefix map, the
+        per-origin sets and the row count consistent.
         """
-        origins = self._exact.pop(prefix, None)
+        origins = self._trie.exact(prefix)
         if origins is None:
             return False
         self._trie.remove(prefix)
@@ -102,7 +96,7 @@ class RoutingTable:
                 prefixes.discard(prefix)
                 if not prefixes:
                     del self._origin_prefixes[origin]
-        self._entry_count = max(0, self._entry_count - len(origins))
+        self._entry_count -= sum(origins.values())
         return True
 
     # -- §5.1 step 4 lookups ------------------------------------------------
@@ -111,16 +105,15 @@ class RoutingTable:
 
         This is the lookup applied to allocation-tree leaf nodes.
         """
-        origins = self._exact.get(prefix)
+        origins = self._trie.exact(prefix)
         return frozenset(origins) if origins else frozenset()
 
-    def exact_index(self) -> Mapping[Prefix, AbstractSet[int]]:
-        """Read-only live view of the exact prefix → origins index.
+    def exact_index(self) -> Mapping[Prefix, FrozenSet[int]]:
+        """A snapshot of the exact prefix → origins index, in prefix order.
 
-        Hot paths (the sharded classifier) use this to resolve leaf
-        origins with one dict probe instead of a trie walk.
+        Later routing changes do not show in the returned dict.
         """
-        return MappingProxyType(self._exact)
+        return dict(self.items())
 
     def covering_origins(self, prefix: Prefix) -> FrozenSet[int]:
         """Origins via exact match, else the least-specific covering prefix.
@@ -129,7 +122,7 @@ class RoutingTable:
         exact-matching prefix does not exist, we then search for its
         least-specific covering prefix and origin AS".
         """
-        exact = self._exact.get(prefix)
+        exact = self._trie.exact(prefix)
         if exact:
             return frozenset(exact)
         hit = self._trie.least_specific_match(prefix)
@@ -142,7 +135,7 @@ class RoutingTable:
 
     def is_advertised(self, prefix: Prefix) -> bool:
         """True when the exact prefix appears in the table."""
-        return bool(self._exact.get(prefix))
+        return bool(self._trie.exact(prefix))
 
     def covered_prefixes(self, prefix: Prefix) -> List[Prefix]:
         """Advertised prefixes at or below *prefix* (exact included)."""

@@ -5,7 +5,7 @@ classifier, the legacy-space extension, the RPKI profiler, and the
 longitudinal comparison.  It snapshots everything those engines query:
 
 * the RIB's exact-match and covering-prefix indexes
-  (:class:`RibSnapshot` — plain dicts, no trie),
+  (:class:`RibSnapshot`, one prefix map),
 * the per-registry allocation scan (leaf keys + tree stats),
 * the AS-relationship closure (per-AS "business family" sets that fold
   AS relationships and AS2org membership into one frozenset), and
@@ -18,10 +18,10 @@ lists — is dropped by ``__getstate__`` so spawn-based worker pools ship
 only the compact classification keys.  Workers classify from keys; the
 parent keeps the records and reassembles full inferences.
 
-Covering lookups work without a trie because CIDR prefixes nest or are
-disjoint: every covering prefix of ``p`` is a truncation
-``p.supernet(L)`` for some shorter ``L``, so probing the exact dict at
-each RIB-observed length, ascending, finds the least-specific cover
+Covering lookups use :class:`~repro.net.PrefixTrie`'s length probes:
+CIDR prefixes nest or are disjoint, so every covering prefix of ``p``
+is its truncation to some stored length, and probing the packed-key
+dict at each stored length, ascending, finds the least-specific cover
 first — the §5.1 root-node lookup — with a handful of dict probes.
 """
 
@@ -32,6 +32,7 @@ from typing import (
     FrozenSet,
     Iterable,
     List,
+    Mapping,
     Optional,
     Tuple,
 )
@@ -39,7 +40,7 @@ from typing import (
 from ..asdata.as2org import AS2Org
 from ..asdata.relationships import ASRelationships
 from ..bgp.rib import RoutingTable
-from ..net import Prefix
+from ..net import Prefix, PrefixTrie
 from ..rir import ALL_RIRS, RIR
 from ..rpki.roa import RoaSet
 from ..whois.database import WhoisCollection
@@ -63,105 +64,80 @@ class RibSnapshot:
     """Frozen exact/covering origin lookups over a routing table.
 
     Semantically identical to :meth:`RoutingTable.exact_origins` and
-    :meth:`RoutingTable.covering_origins`, but backed by one plain dict
-    (picklable, shareable across processes) instead of a live trie.
+    :meth:`RoutingTable.covering_origins`, but over frozen origin sets
+    (picklable, shareable across processes) instead of the live table.
     """
 
-    __slots__ = ("_exact", "_lengths")
+    __slots__ = ("_map",)
 
-    def __init__(self, exact: Dict[Prefix, FrozenSet[int]]) -> None:
-        self._exact = exact
-        self._lengths: Tuple[int, ...] = tuple(
-            sorted({prefix.length for prefix in exact})
+    def __init__(self, exact: Mapping[Prefix, FrozenSet[int]]) -> None:
+        self._map: PrefixTrie[FrozenSet[int]] = PrefixTrie.from_items(
+            exact.items()
         )
 
     @classmethod
     def from_routing_table(cls, routing_table: RoutingTable) -> "RibSnapshot":
         """Freeze the table's exact index (origins become frozensets)."""
-        return cls(
-            {
-                prefix: frozenset(origins)
-                for prefix, origins in routing_table.exact_index().items()
-            }
-        )
+        return cls(dict(routing_table.items()))
 
     def exact_origins(self, prefix: Prefix) -> FrozenSet[int]:
         """Origins of the exact-matching prefix (empty when absent)."""
-        return self._exact.get(prefix, _EMPTY)
+        origins = self._map.exact(prefix)
+        return _EMPTY if origins is None else origins
 
     def covering_origins(self, prefix: Prefix) -> FrozenSet[int]:
         """Exact match, else the least-specific covering prefix's origins.
 
-        Probes the truncations of *prefix* at every advertised length,
-        ascending, so the first hit is the least-specific cover — the
-        trie-free equivalent of ``least_specific_match``.
+        A stored but empty exact set falls through to the covering probe,
+        where the prefix answers for itself unless a shorter cover exists.
         """
-        exact = self._exact.get(prefix)
+        exact = self._map.exact(prefix)
         if exact:
             return exact
-        for length in self._lengths:
-            if length > prefix.length:
-                break
-            origins = self._exact.get(prefix.supernet(length))
-            if origins is not None:
-                return origins
-        return _EMPTY
+        hit = self._map.least_specific_match(prefix)
+        return hit[1] if hit else _EMPTY
 
     def exact_items(self) -> Iterable[Tuple[Prefix, FrozenSet[int]]]:
-        """The ``(prefix, origins)`` pairs of the exact index.
-
-        The incremental overlay seeds its mutable copy from this view;
-        iteration order is the underlying dict's insertion order.
-        """
-        return self._exact.items()
+        """The ``(prefix, origins)`` pairs of the exact index, in order."""
+        return self._map.items()
 
     def __contains__(self, prefix: Prefix) -> bool:
-        return prefix in self._exact
+        return prefix in self._map
 
     def __len__(self) -> int:
-        return len(self._exact)
+        return len(self._map)
 
 
 class RoaSnapshot:
     """Frozen RFC 6811 validation over one ROA snapshot.
 
-    Same truncation-walk trick as :class:`RibSnapshot`: the covering
-    ROAs of a prefix live at its supernets, so a dict keyed by ROA
-    prefix replaces the covering-trie walk.  Outcomes are identical to
+    The same covering probe as :class:`RibSnapshot`, over per-prefix
+    ROA tuples.  Outcomes are identical to
     :func:`repro.rpki.validation.validate_origin` — VALID/INVALID/
     NOT_FOUND do not depend on the order covering ROAs are visited.
     """
 
-    __slots__ = ("_buckets", "_lengths")
+    __slots__ = ("_map",)
 
     def __init__(self, roas: RoaSet) -> None:
         buckets: Dict[Prefix, List] = {}
         for roa in roas:
             buckets.setdefault(roa.prefix, []).append(roa)
-        self._buckets: Dict[Prefix, Tuple] = {
-            prefix: tuple(bucket) for prefix, bucket in buckets.items()
-        }
-        self._lengths: Tuple[int, ...] = tuple(
-            sorted({prefix.length for prefix in self._buckets})
+        self._map: PrefixTrie[Tuple] = PrefixTrie.from_items(
+            (prefix, tuple(bucket)) for prefix, bucket in buckets.items()
         )
 
     def validate(self, prefix: Prefix, origin: int) -> str:
         """The RFC 6811 outcome name: ``valid``/``invalid``/``not-found``."""
-        covered = False
-        for length in self._lengths:
-            if length > prefix.length:
-                break
-            bucket = self._buckets.get(prefix.supernet(length))
-            if bucket is None:
-                continue
-            covered = True
+        chain = self._map.covering(prefix)
+        for _roa_prefix, bucket in chain:
             for roa in bucket:
                 if roa.authorizes(prefix, origin):
                     return "valid"
-        return "invalid" if covered else "not-found"
+        return "invalid" if chain else "not-found"
 
     def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._buckets.values())
+        return sum(len(bucket) for _prefix, bucket in self._map.items())
 
 
 class AnalysisContext:

@@ -68,32 +68,24 @@ class MutableRibOverlay(RibSnapshot):
     shard classifier reads it unchanged) while accepting the stream's
     mutations with :class:`RoutingTable` semantics: ``announce`` adds
     one origin to a prefix's set, ``withdraw`` evicts the prefix's
-    exact-index entry wholly.  The advertised-length index is kept in
-    sync so covering walks stay correct as lengths appear and vanish.
+    exact-index entry wholly.  The prefix map keeps its probe lengths
+    in sync, so covering lookups stay correct as lengths appear and
+    vanish.
     """
 
-    __slots__ = ("_length_counts",)
+    __slots__ = ()
 
     def __init__(self, base: RibSnapshot) -> None:
         super().__init__(dict(base.exact_items()))
-        counts: Dict[int, int] = {}
-        for prefix in self._exact:
-            counts[prefix.length] = counts.get(prefix.length, 0) + 1
-        self._length_counts = counts
 
     def announce(self, prefix: Prefix, origin: int) -> bool:
         """Add *origin* to the prefix's set; True when state changed."""
-        current = self._exact.get(prefix)
-        if current is not None:
-            if origin in current:
-                return False
-            self._exact[prefix] = current | {origin}
-            return True
-        self._exact[prefix] = frozenset((origin,))
-        count = self._length_counts.get(prefix.length, 0)
-        self._length_counts[prefix.length] = count + 1
-        if count == 0:
-            self._refresh_lengths()
+        current = self._map.exact(prefix)
+        if current is None:
+            current = _EMPTY
+        elif origin in current:
+            return False
+        self._map.insert(prefix, current | {origin})
         return True
 
     def withdraw(self, prefix: Prefix) -> bool:
@@ -103,18 +95,7 @@ class MutableRibOverlay(RibSnapshot):
         prefix from the exact index regardless of how many origins were
         announcing it.
         """
-        if self._exact.pop(prefix, None) is None:
-            return False
-        remaining = self._length_counts[prefix.length] - 1
-        if remaining:
-            self._length_counts[prefix.length] = remaining
-        else:
-            del self._length_counts[prefix.length]
-            self._refresh_lengths()
-        return True
-
-    def _refresh_lengths(self) -> None:
-        self._lengths = tuple(sorted(self._length_counts))
+        return self._map.remove(prefix)
 
 
 @dataclass(frozen=True)

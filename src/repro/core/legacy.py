@@ -76,7 +76,7 @@ def infer_legacy_leases(
 ) -> List[LegacyInference]:
     """Classify every registered legacy block across all registries.
 
-    This is the **frozen reference engine** (per-bit trie, per-block
+    This is the **frozen reference engine** (prefix map, per-block
     oracle queries).  :class:`LegacyLeasePipeline` runs the same
     classification from the shared :class:`AnalysisContext`, serially or
     sharded, with bit-identical output; this function is the executable
@@ -104,7 +104,7 @@ def _infer_region(
         for prefix in record.range.to_prefixes():
             if prefix.length > max_leaf_length:
                 continue
-            if trie.exact(prefix) is None:
+            if prefix not in trie:
                 trie.insert(prefix, record)
             if record.is_legacy:
                 legacy_prefixes.setdefault(prefix, record)
@@ -191,10 +191,10 @@ _LegacyKey = Tuple[Prefix, Optional[str], Optional[Prefix], Optional[str], bool]
 def _scan_region(
     database: WhoisDatabase, max_leaf_length: int
 ) -> List[Tuple[Prefix, InetnumRecord, Optional[Prefix], Optional[InetnumRecord]]]:
-    """Replicate the reference trie walk with one sorted pass.
+    """Replicate the reference prefix-map lookups with one sorted pass.
 
     First-wins dedup per prefix (matching ``trie.insert`` guarded by
-    ``trie.exact``) for all records, and separately for legacy records
+    ``prefix not in trie``) for all records, and separately for legacy records
     (matching ``legacy_prefixes.setdefault``); parent = most-specific
     strict ancestor among all registered prefixes.
     """
@@ -367,7 +367,7 @@ class LegacyLeasePipeline:
         return results
 
     def run_reference(self) -> List[LegacyInference]:
-        """The frozen per-bit-trie engine (executable specification)."""
+        """The frozen prefix-map engine (executable specification)."""
         return infer_legacy_leases(
             self.whois, self.routing_table, self.oracle, self.max_leaf_length
         )

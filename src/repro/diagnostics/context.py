@@ -154,7 +154,7 @@ class DiagnosticContext:
                     if record.range.first > record.range.last:
                         continue  # inverted (W106) ranges can't decompose
                     for prefix in record.range.to_prefixes():
-                        if trie.exact(prefix) is None:
+                        if prefix not in trie:
                             trie.insert(prefix, record)
             self._registered = trie
         return self._registered

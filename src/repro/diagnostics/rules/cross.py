@@ -45,7 +45,7 @@ class UnregisteredAnnouncementRule(_CrossRule):
             return
         registered = context.registered_trie()
         for prefix, origins in context.routing_table.items():
-            if registered.covering(prefix):
+            if registered.least_specific_match(prefix) is not None:
                 continue
             names = ", ".join(f"AS{asn}" for asn in sorted(origins))
             yield self.finding(

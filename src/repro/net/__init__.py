@@ -1,4 +1,4 @@
-"""IPv4 network primitives: addresses, prefixes, ranges, and a radix trie."""
+"""IPv4 network primitives: addresses, prefixes, ranges, and a prefix map."""
 
 from .ipaddr import (
     MAX_IPV4,

@@ -1,4 +1,4 @@
-"""A binary radix trie over IPv4 prefixes.
+"""A hash-probed map over IPv4 prefixes.
 
 Supports the lookups the paper's inference needs:
 
@@ -7,8 +7,17 @@ Supports the lookups the paper's inference needs:
 * longest-prefix match (general routing-table semantics),
 * enumeration of stored roots / leaves (allocation tree, §5.1 step 2).
 
-The trie maps each stored :class:`~repro.net.ipaddr.Prefix` to an arbitrary
-value; inserting the same prefix twice replaces the value.
+The map keys each stored :class:`~repro.net.ipaddr.Prefix` by its packed
+integer ``network << 8 | length`` in one dict, so an exact lookup is one
+hash probe.  CIDR prefixes nest or are disjoint, so every stored cover of
+a query is its truncation to some stored length: covering lookups probe
+the dict once per distinct stored length instead of walking bits.  The
+packing also preserves ``Prefix`` order (network, then length), which is
+pre-order trie order: a subtree is one contiguous run of the sorted keys,
+so subtree and role queries bisect or scan a sorted key list that is
+rebuilt lazily after a mutation.
+
+Inserting the same prefix twice replaces the value.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from bisect import bisect_left
 from typing import (
     Dict,
     Generic,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -25,7 +35,7 @@ from typing import (
     TypeVar,
 )
 
-from .ipaddr import Prefix
+from .ipaddr import MAX_IPV4, Prefix
 
 __all__ = [
     "PrefixTrie",
@@ -40,112 +50,94 @@ __all__ = [
 
 V = TypeVar("V")
 
-
-class _Node(Generic[V]):
-    """One bit-level trie node; ``prefix`` is set only on stored entries."""
-
-    __slots__ = ("children", "prefix", "value")
-
-    def __init__(self) -> None:
-        self.children: List[Optional["_Node[V]"]] = [None, None]
-        self.prefix: Optional[Prefix] = None
-        self.value: Optional[V] = None
+#: Keys are 40-bit (32-bit network + 8-bit length) stored as uint64.
+_KEY_LENGTH_MASK = 0xFF
 
 
-def _bit(network: int, depth: int) -> int:
-    """The *depth*-th most significant bit of a 32-bit network address."""
-    return (network >> (31 - depth)) & 1
+def _last_of(key: int) -> int:
+    """The last address covered by the prefix a packed key encodes."""
+    return (key >> 8) | (MAX_IPV4 >> (key & _KEY_LENGTH_MASK))
 
 
 class PrefixTrie(Generic[V]):
     """Mutable mapping from IPv4 prefixes to values with covering lookups."""
 
+    __slots__ = ("_entries", "_length_counts", "_probes", "_sorted")
+
     def __init__(self) -> None:
-        self._root: _Node[V] = _Node()
-        self._size = 0
+        self._entries: Dict[int, Tuple[Prefix, V]] = {}
+        self._length_counts: Dict[int, int] = {}
+        # Lazily rebuilt views: ascending ``(length, mask << 8)`` probes
+        # over the stored lengths, and the ascending packed keys.
+        self._probes: Optional[Tuple[Tuple[int, int], ...]] = ()
+        self._sorted: Optional[List[int]] = []
 
     # -- mutation ----------------------------------------------------------
     def insert(self, prefix: Prefix, value: V) -> None:
         """Store *value* under *prefix*, replacing any previous value."""
-        node = self._root
-        for depth in range(prefix.length):
-            branch = _bit(prefix.network, depth)
-            child = node.children[branch]
-            if child is None:
-                child = _Node()
-                node.children[branch] = child
-            node = child
-        if node.prefix is None:
-            self._size += 1
-        node.prefix = prefix
-        node.value = value
+        length = prefix.length
+        key = (prefix.network << 8) | length
+        entries = self._entries
+        if key not in entries:
+            count = self._length_counts.get(length, 0)
+            self._length_counts[length] = count + 1
+            if not count:
+                self._probes = None
+            self._sorted = None
+        entries[key] = (prefix, value)
 
     def remove(self, prefix: Prefix) -> bool:
         """Delete *prefix*; returns False when it was not stored.
 
         Removal keeps every lookup exact: a removed interior entry no
-        longer appears in ``covering``/``longest_match`` chains (its
-        stored descendants are answered through it transparently), and
-        childless branches left behind are pruned so that repeated
-        insert/remove cycles — a hot-reload diffing snapshots — cannot
-        grow the trie without bound.
+        longer appears in ``covering``/``longest_match`` chains, and a
+        length with no stored prefix left drops out of the probe table,
+        so repeated insert/remove cycles — a hot-reload diffing
+        snapshots — cannot grow the map without bound.
         """
-        path: List[Tuple[_Node[V], int]] = []
-        node = self._root
-        for depth in range(prefix.length):
-            branch = _bit(prefix.network, depth)
-            child = node.children[branch]
-            if child is None:
-                return False
-            path.append((node, branch))
-            node = child
-        if node.prefix is None:
+        length = prefix.length
+        if self._entries.pop((prefix.network << 8) | length, None) is None:
             return False
-        node.prefix = None
-        node.value = None
-        self._size -= 1
-        # Prune the now-useless tail: walk back towards the root, cutting
-        # nodes that hold no entry and no children.
-        for parent, branch in reversed(path):
-            child = parent.children[branch]
-            if child is not None and (
-                child.prefix is not None
-                or any(grand is not None for grand in child.children)
-            ):
-                break
-            parent.children[branch] = None
+        remaining = self._length_counts[length] - 1
+        if remaining:
+            self._length_counts[length] = remaining
+        else:
+            del self._length_counts[length]
+            self._probes = None
+        self._sorted = None
         return True
+
+    def _probe_table(self) -> Tuple[Tuple[int, int], ...]:
+        probes = self._probes
+        if probes is None:
+            probes = self._probes = tuple(
+                (length, ((MAX_IPV4 << (32 - length)) & MAX_IPV4) << 8)
+                for length in sorted(self._length_counts)
+            )
+        return probes
+
+    def _sorted_keys(self) -> List[int]:
+        keys = self._sorted
+        if keys is None:
+            keys = self._sorted = sorted(self._entries)
+        return keys
 
     # -- basic queries -------------------------------------------------------
     def __len__(self) -> int:
-        return self._size
+        return len(self._entries)
 
     def __contains__(self, prefix: Prefix) -> bool:
-        node = self._find_node(prefix)
-        return node is not None and node.prefix is not None
-
-    def _find_node(self, prefix: Prefix) -> Optional[_Node[V]]:
-        node = self._root
-        for depth in range(prefix.length):
-            child = node.children[_bit(prefix.network, depth)]
-            if child is None:
-                return None
-            node = child
-        return node
+        return ((prefix.network << 8) | prefix.length) in self._entries
 
     def exact(self, prefix: Prefix) -> Optional[V]:
         """The value stored at exactly *prefix*, or None."""
-        node = self._find_node(prefix)
-        if node is None or node.prefix is None:
-            return None
-        return node.value
+        entry = self._entries.get((prefix.network << 8) | prefix.length)
+        return None if entry is None else entry[1]
 
     def get(self, prefix: Prefix, default: Optional[V] = None) -> Optional[V]:
         """Dict-style exact lookup with a default."""
-        node = self._find_node(prefix)
-        if node is None or node.prefix is None:
-            return default
-        return node.value
+        entry = self._entries.get((prefix.network << 8) | prefix.length)
+        return default if entry is None else entry[1]
 
     # -- covering lookups ------------------------------------------------------
     def covering(self, prefix: Prefix) -> List[Tuple[Prefix, V]]:
@@ -153,23 +145,20 @@ class PrefixTrie(Generic[V]):
 
         A stored prefix equal to *prefix* is included.
         """
+        entries = self._entries
+        shifted = prefix.network << 8
         found: List[Tuple[Prefix, V]] = []
-        node = self._root
-        if node.prefix is not None:
-            found.append((node.prefix, node.value))  # type: ignore[arg-type]
-        for depth in range(prefix.length):
-            child = node.children[_bit(prefix.network, depth)]
-            if child is None:
-                return found
-            node = child
-            if node.prefix is not None:
-                found.append((node.prefix, node.value))  # type: ignore[arg-type]
+        for length, mask in self._probe_table():
+            if length > prefix.length:
+                break
+            entry = entries.get((shifted & mask) | length)
+            if entry is not None:
+                found.append(entry)
         return found
 
     def longest_match(self, prefix: Prefix) -> Optional[Tuple[Prefix, V]]:
         """The most-specific stored prefix covering *prefix*, or None."""
-        chain = self.covering(prefix)
-        return chain[-1] if chain else None
+        return self._deepest_cover(prefix, prefix.length)
 
     def least_specific_match(self, prefix: Prefix) -> Optional[Tuple[Prefix, V]]:
         """The least-specific stored prefix covering *prefix*, or None.
@@ -178,109 +167,99 @@ class PrefixTrie(Generic[V]):
         prefix is absent from BGP: "search for its least-specific covering
         prefix and origin AS" (§5.1 step 4).
         """
-        chain = self.covering(prefix)
-        return chain[0] if chain else None
+        entries = self._entries
+        shifted = prefix.network << 8
+        for length, mask in self._probe_table():
+            if length > prefix.length:
+                return None
+            entry = entries.get((shifted & mask) | length)
+            if entry is not None:
+                return entry
+        return None
 
     def parent(self, prefix: Prefix) -> Optional[Tuple[Prefix, V]]:
         """The most-specific stored *strict* ancestor of *prefix*, or None."""
-        chain = self.covering(prefix)
-        while chain and chain[-1][0] == prefix:
-            chain.pop()
-        return chain[-1] if chain else None
+        return self._deepest_cover(prefix, prefix.length - 1)
+
+    def _deepest_cover(
+        self, prefix: Prefix, max_length: int
+    ) -> Optional[Tuple[Prefix, V]]:
+        entries = self._entries
+        shifted = prefix.network << 8
+        for length, mask in reversed(self._probe_table()):
+            if length <= max_length:
+                entry = entries.get((shifted & mask) | length)
+                if entry is not None:
+                    return entry
+        return None
 
     # -- subtree queries ----------------------------------------------------
+    def _subtree_keys(self, prefix: Prefix) -> List[int]:
+        """Sorted keys equal to or more specific than *prefix*."""
+        keys = self._sorted_keys()
+        start, stop = flat_covered_range(keys, prefix)
+        return keys[start:stop]
+
+    def _tops(self, keys: Iterable[int]) -> List[Tuple[Prefix, V]]:
+        """Entries of sorted *keys* not covered by an earlier one of them."""
+        entries = self._entries
+        result: List[Tuple[Prefix, V]] = []
+        boundary = -1
+        for key in keys:
+            if key >> 8 > boundary:
+                result.append(entries[key])
+                boundary = _last_of(key)
+        return result
+
     def covered(self, prefix: Prefix) -> Iterator[Tuple[Prefix, V]]:
         """Iterate stored prefixes equal to or more specific than *prefix*."""
-        node = self._root
-        for depth in range(prefix.length):
-            child = node.children[_bit(prefix.network, depth)]
-            if child is None:
-                return
-            node = child
-        yield from self._iter_subtree(node)
+        entries = self._entries
+        return iter([entries[key] for key in self._subtree_keys(prefix)])
 
     def children_of(self, prefix: Prefix) -> List[Tuple[Prefix, V]]:
         """Direct stored descendants of *prefix* (no stored prefix between)."""
-        start = self._find_node(prefix)
-        if start is None:
-            return []
-        result: List[Tuple[Prefix, V]] = []
-        stack = [child for child in start.children if child is not None]
-        while stack:
-            node = stack.pop()
-            if node.prefix is not None:
-                result.append((node.prefix, node.value))  # type: ignore[arg-type]
-                continue  # anything deeper is not a *direct* child
-            stack.extend(
-                child for child in node.children if child is not None
-            )
-        result.sort(key=lambda item: item[0])
-        return result
-
-    def _iter_subtree(self, start: _Node[V]) -> Iterator[Tuple[Prefix, V]]:
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            if node.prefix is not None:
-                yield node.prefix, node.value  # type: ignore[misc]
-            for child in reversed(node.children):
-                if child is not None:
-                    stack.append(child)
+        own = (prefix.network << 8) | prefix.length
+        return self._tops(
+            key for key in self._subtree_keys(prefix) if key != own
+        )
 
     def items(self) -> Iterator[Tuple[Prefix, V]]:
-        """Iterate all stored ``(prefix, value)`` pairs (trie order)."""
-        yield from self._iter_subtree(self._root)
+        """Iterate all stored ``(prefix, value)`` pairs in ``Prefix`` order."""
+        entries = self._entries
+        return iter([entries[key] for key in self._sorted_keys()])
 
     def keys(self) -> Iterator[Prefix]:
-        """Iterate all stored prefixes (trie order)."""
-        for prefix, _value in self.items():
-            yield prefix
+        """Iterate all stored prefixes in ``Prefix`` order."""
+        entries = self._entries
+        return iter([entries[key][0] for key in self._sorted_keys()])
 
     # -- structural roles (allocation tree) ----------------------------------
     def roots(self) -> List[Tuple[Prefix, V]]:
         """Stored prefixes with no stored strict ancestor."""
-        result: List[Tuple[Prefix, V]] = []
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.prefix is not None:
-                result.append((node.prefix, node.value))  # type: ignore[arg-type]
-                continue  # descendants have an ancestor: this node
-            stack.extend(
-                child for child in node.children if child is not None
-            )
-        result.sort(key=lambda item: item[0])
-        return result
+        return self._tops(self._sorted_keys())
 
     def leaves(self) -> List[Tuple[Prefix, V]]:
-        """Stored prefixes with no stored strict descendant."""
-        result: List[Tuple[Prefix, V]] = []
-        stack: List[Tuple[_Node[V], Optional[_Node[V]]]] = [(self._root, None)]
-        # Depth-first walk tracking, for each stored node, whether any stored
-        # node exists beneath it.
-        def walk(node: _Node[V]) -> bool:
-            has_stored_below = False
-            for child in node.children:
-                if child is not None and walk(child):
-                    has_stored_below = True
-            if node.prefix is not None:
-                if not has_stored_below:
-                    result.append((node.prefix, node.value))  # type: ignore[arg-type]
-                return True
-            return has_stored_below
+        """Stored prefixes with no stored strict descendant.
 
-        walk(self._root)
-        result.sort(key=lambda item: item[0])
-        return result
+        A stored descendant sorts immediately after its ancestor, so an
+        entry is a leaf exactly when the next key lies outside it.
+        """
+        keys = self._sorted_keys()
+        entries = self._entries
+        return [
+            entries[key]
+            for key, following in zip(keys, keys[1:] + [1 << 40])
+            if following >> 8 > _last_of(key)
+        ]
 
     # -- conversion ---------------------------------------------------------
     def to_dict(self) -> Dict[Prefix, V]:
-        """Materialize the trie as a plain dict."""
+        """Materialize the map as a plain dict."""
         return dict(self.items())
 
     @classmethod
-    def from_items(cls, items) -> "PrefixTrie[V]":
-        """Build a trie from an iterable of ``(prefix, value)`` pairs."""
+    def from_items(cls, items: Iterable[Tuple[Prefix, V]]) -> "PrefixTrie[V]":
+        """Build a map from ``(prefix, value)`` pairs; later pairs win."""
         trie: PrefixTrie[V] = cls()
         for prefix, value in items:
             trie.insert(prefix, value)
@@ -290,14 +269,11 @@ class PrefixTrie(Generic[V]):
 # -- flat sorted-array lookups ---------------------------------------------
 #
 # A prefix set can be frozen into one sorted array of packed uint64 keys
-# (``network << 8 | length``) — the packing preserves ``Prefix`` order
-# (network first, then length), so binary search replaces the trie walk
-# and the array can live in shared memory as raw bytes.  These helpers
-# run over any sorted integer sequence: a list, an ``array('Q')``, or a
-# ``memoryview`` cast over a ``multiprocessing.shared_memory`` buffer.
-
-#: Keys are 40-bit (32-bit network + 8-bit length) stored as uint64.
-_KEY_LENGTH_MASK = 0xFF
+# (``network << 8 | length``, the same packing :class:`PrefixTrie` keys
+# its dict by) so it can live in shared memory as raw bytes, with binary
+# search as the exact probe.  These helpers run over any sorted integer
+# sequence: a list, an ``array('Q')``, or a ``memoryview`` cast over a
+# ``multiprocessing.shared_memory`` buffer.
 
 
 def pack_prefix(prefix: Prefix) -> int:

@@ -110,8 +110,10 @@ class RoaSet:
             return False
         self._roas.discard(roa)
         bucket = self._trie.exact(roa.prefix)
-        if bucket:
+        if bucket is not None:
             bucket.discard(roa)
+            if not bucket:
+                self._trie.remove(roa.prefix)
         return True
 
     def covering(self, prefix: Prefix) -> List[ROA]:

@@ -52,7 +52,7 @@ def _registered_trie(world: World) -> PrefixTrie:
     for database in world.whois:
         for record in database.inetnums:
             for prefix in record.range.to_prefixes():
-                if trie.exact(prefix) is None:
+                if prefix not in trie:
                     trie.insert(prefix, True)
     return trie
 

@@ -93,7 +93,7 @@ class RouteRegistry:
 
     def has_route_for(self, prefix: Prefix) -> bool:
         """True when any route object covers *prefix*."""
-        return bool(self._trie.covering(prefix))
+        return self._trie.least_specific_match(prefix) is not None
 
     def __len__(self) -> int:
         return self._count

@@ -46,7 +46,7 @@ class WhoisServer:
         for database in collection:
             for record in database.inetnums:
                 for prefix in record.range.to_prefixes():
-                    if self._trie.exact(prefix) is None:
+                    if prefix not in self._trie:
                         self._trie.insert(prefix, (database.rir, record))
         outer = self
 

@@ -118,6 +118,28 @@ class TestRoutingTable:
         assert Prefix.parse("213.210.0.0/18") in table
         assert Prefix.parse("8.8.8.0/24") not in table
 
+    def test_withdraw_subtracts_the_prefix_rows(self):
+        table = RoutingTable()
+        moas = Prefix.parse("203.0.113.0/24")
+        for _peer in range(3):
+            table.add_route(moas, 64500)  # three peers, one origin
+        table.add_route(Prefix.parse("198.51.100.0/24"), 64501)
+        assert len(table) == 4
+        assert table.withdraw(moas)
+        assert len(table) == 1
+        assert not table.withdraw(moas)
+        assert len(table) == 1
+
+    def test_exact_index_is_a_snapshot(self):
+        table = RoutingTable()
+        prefix = Prefix.parse("203.0.113.0/24")
+        table.add_route(prefix, 64500)
+        index = table.exact_index()
+        table.add_route(prefix, 64501)
+        table.add_route(Prefix.parse("198.51.100.0/24"), 64502)
+        assert index == {prefix: frozenset({64500})}
+        assert table.exact_index()[prefix] == frozenset({64500, 64501})
+
 
 class TestTableDump:
     def make_entry(self):

@@ -163,32 +163,34 @@ class TestRemovalAndPruning:
         assert len(small_trie) == 4
 
     @staticmethod
-    def _node_count(trie):
-        count = 0
-        stack = [trie._root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            stack.extend(c for c in node.children if c is not None)
-        return count
+    def _storage(trie):
+        """Sizes of the internal entry map and per-length count table."""
+        return len(trie._entries), len(trie._length_counts)
 
     def test_leaf_removal_prunes_dangling_branch(self):
         trie = PrefixTrie()
         trie.insert(Prefix.parse("10.0.0.0/8"), "root")
-        baseline = self._node_count(trie)
+        baseline = self._storage(trie)
         trie.insert(Prefix.parse("10.255.255.0/24"), "deep")
-        assert self._node_count(trie) == baseline + 16
+        assert self._storage(trie) == (baseline[0] + 1, baseline[1] + 1)
+        assert len(trie.covering(Prefix.parse("10.255.255.0/24"))) == 2
         assert trie.remove(Prefix.parse("10.255.255.0/24"))
-        assert self._node_count(trie) == baseline
+        assert self._storage(trie) == baseline
+        # The vanished length no longer costs a covering probe.
+        assert trie.covering(Prefix.parse("10.255.255.0/24")) == [
+            (Prefix.parse("10.0.0.0/8"), "root")
+        ]
+        assert [length for length, _mask in trie._probe_table()] == [8]
 
     def test_repeated_cycles_do_not_grow_the_trie(self):
         trie = PrefixTrie()
         trie.insert(Prefix.parse("10.0.0.0/8"), "root")
-        baseline = self._node_count(trie)
+        baseline = self._storage(trie)
         for _ in range(5):
             trie.insert(Prefix.parse("10.255.255.0/24"), "deep")
             trie.remove(Prefix.parse("10.255.255.0/24"))
-        assert self._node_count(trie) == baseline
+        assert self._storage(trie) == baseline
+        assert [p for p, _v in trie.items()] == [Prefix.parse("10.0.0.0/8")]
 
     def test_removal_keeps_branch_with_valued_descendant(self, small_trie):
         small_trie.remove(Prefix.parse("10.1.0.0/16"))

@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) for the network primitives.
 
 These pin the algebraic invariants the whole pipeline rests on:
-range→CIDR decomposition is an exact minimal cover, the radix trie
+range→CIDR decomposition is an exact minimal cover, the prefix map
 agrees with a brute-force model, and prefix geometry is self-consistent.
 """
 
@@ -164,3 +164,99 @@ class TestTrieProperties:
             trie.insert(prefix, None)
         expected = {p for p in stored if probe.contains(p)}
         assert {p for p, _v in trie.covered(probe)} == expected
+
+
+#: Addresses whose truncations nest densely, so random prefixes built
+#: from them overlap often (the default route and both address-space
+#: edges included).
+_NESTING_BASES = (0, 0x0A000000, 0x0A0102FF, 0x0A01FF00, 0xC0000280, MAX_IPV4)
+
+
+@st.composite
+def nesting_prefixes(draw):
+    length = draw(lengths)
+    address = draw(st.sampled_from(_NESTING_BASES))
+    mask = (MAX_IPV4 << (32 - length)) & MAX_IPV4 if length else 0
+    return Prefix(address & mask, length)
+
+
+_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), nesting_prefixes(), st.integers(0, 9)),
+        st.tuples(st.just("remove"), nesting_prefixes(), st.just(None)),
+        st.tuples(st.just("query"), nesting_prefixes(), st.just(None)),
+    ),
+    max_size=60,
+)
+
+
+def _strictly_inside(inner, outer):
+    return inner != outer and outer.contains(inner)
+
+
+class TestTrieDifferential:
+    """Interleaved mutations and queries against a brute-force model.
+
+    Every query runs after arbitrary earlier inserts and removes, so a
+    lazily rebuilt view (probe lengths, sorted keys) that went stale
+    after a mutation shows up as a disagreement.
+    """
+
+    @staticmethod
+    def _check_query(trie, model, probe):
+        assert trie.exact(probe) == model.get(probe)
+        assert trie.get(probe, "absent") == model.get(probe, "absent")
+        assert (probe in trie) == (probe in model)
+        chain = sorted(
+            ((p, v) for p, v in model.items() if p.contains(probe)),
+            key=lambda item: item[0].length,
+        )
+        assert trie.covering(probe) == chain
+        assert trie.longest_match(probe) == (chain[-1] if chain else None)
+        assert trie.least_specific_match(probe) == (chain[0] if chain else None)
+        strict = [item for item in chain if item[0] != probe]
+        assert trie.parent(probe) == (strict[-1] if strict else None)
+        below = sorted((p, v) for p, v in model.items() if probe.contains(p))
+        assert list(trie.covered(probe)) == below
+        children = [
+            (p, v)
+            for p, v in below
+            if p != probe
+            and not any(
+                _strictly_inside(p, q) and _strictly_inside(q, probe)
+                for q in model
+            )
+        ]
+        assert trie.children_of(probe) == children
+
+    @staticmethod
+    def _check_whole(trie, model):
+        ordered = sorted(model.items())
+        assert list(trie.items()) == ordered
+        assert list(trie.keys()) == [p for p, _v in ordered]
+        assert len(trie) == len(model)
+        assert trie.roots() == [
+            (p, v)
+            for p, v in ordered
+            if not any(_strictly_inside(p, q) for q in model)
+        ]
+        assert trie.leaves() == [
+            (p, v)
+            for p, v in ordered
+            if not any(_strictly_inside(q, p) for q in model)
+        ]
+
+    @given(_operations)
+    @settings(max_examples=150, deadline=None)
+    def test_interleaved_operations_match_model(self, operations):
+        trie = PrefixTrie()
+        model = {}
+        for action, prefix, value in operations:
+            if action == "insert":
+                trie.insert(prefix, value)
+                model[prefix] = value
+            elif action == "remove":
+                assert trie.remove(prefix) == (model.pop(prefix, None) is not None)
+            else:
+                self._check_query(trie, model, prefix)
+            self._check_whole(trie, model)

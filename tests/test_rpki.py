@@ -88,6 +88,16 @@ class TestRoaSet:
         assert not roas.remove(roa)
         assert roas.authorized_origins(Prefix.parse("10.0.5.0/24")) == {64500}
 
+    def test_remove_last_roa_drops_its_prefix(self, roas):
+        lone = ROA(prefix=Prefix.parse("10.0.5.0/24"), asn=64501)
+        assert len(roas._trie) == 3
+        assert roas.remove(lone)
+        assert len(roas._trie) == 2
+        assert Prefix.parse("10.0.5.0/24") not in roas._trie
+        assert roas.exact(Prefix.parse("10.0.5.0/24")) == []
+        roas.add(lone)
+        assert roas.exact(Prefix.parse("10.0.5.0/24")) == [lone]
+
     def test_csv_round_trip(self, roas):
         reloaded = RoaSet.from_csv(roas.to_csv())
         assert sorted(reloaded) == sorted(roas)
