@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test coverage lint check check-warm ratchet-update docs bench perfbench-test bench-pipeline bench-xlarge bench-serve bench-stream bench-temporal report data clean
+.PHONY: install test coverage lint check check-warm ratchet-update docs golden-dumps bench perfbench-test bench-pipeline bench-xlarge bench-serve bench-stream bench-temporal report data clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
@@ -35,6 +35,14 @@ ratchet-update:
 docs:
 	PYTHONPATH=src $(PYTHON) -m repro.diagnostics > docs/DIAGNOSTICS.md
 	PYTHONPATH=src $(PYTHON) -m repro.check > docs/STATIC_ANALYSIS.md
+
+# Per-file sha256 of every dump write_world writes; the small world is
+# pinned by tier-1, the medium one by CI. Regenerate only on purpose.
+golden-dumps:
+	PYTHONPATH=src $(PYTHON) scripts/dump_digests.py --world small --seed 7 \
+		--out tests/golden/dumps_small_world.sha256
+	PYTHONPATH=src $(PYTHON) scripts/dump_digests.py --world medium --seed 20240402 \
+		--out tests/golden/dumps_medium_seed1.sha256
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -106,13 +106,17 @@ def write_mrt(
             body=_encode_peer_index(collector_id, view_name, peers),
         )
     ]
+    # Paths repeat across prefixes: encode each distinct one once.
+    path_attributes: Dict[ASPath, bytes] = {}
     for sequence, prefix in enumerate(sorted(by_prefix)):
         rows = by_prefix[prefix]
         chunks.append(
             _record(
                 timestamp=rows[0].timestamp,
                 subtype=RIB_IPV4_UNICAST,
-                body=_encode_rib(sequence, prefix, rows, peer_index),
+                body=_encode_rib(
+                    sequence, prefix, rows, peer_index, path_attributes
+                ),
             )
         )
     return b"".join(chunks)
@@ -153,6 +157,7 @@ def _encode_rib(
     prefix: Prefix,
     rows: Sequence[RibEntry],
     peer_index: Dict[Tuple[str, int], int],
+    path_attributes: Dict[ASPath, bytes],
 ) -> bytes:
     prefix_bytes = _encode_prefix(prefix)
     parts = [
@@ -161,7 +166,9 @@ def _encode_rib(
         struct.pack(">H", len(rows)),
     ]
     for row in rows:
-        attributes = _encode_attributes(row.path)
+        attributes = path_attributes.get(row.path)
+        if attributes is None:
+            attributes = path_attributes[row.path] = _encode_attributes(row.path)
         parts.append(
             struct.pack(
                 ">HIH",

@@ -17,7 +17,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Set,
     Tuple,
@@ -107,13 +106,6 @@ class RoutingTable:
         """
         origins = self._trie.exact(prefix)
         return frozenset(origins) if origins else frozenset()
-
-    def exact_index(self) -> Mapping[Prefix, FrozenSet[int]]:
-        """A snapshot of the exact prefix → origins index, in prefix order.
-
-        Later routing changes do not show in the returned dict.
-        """
-        return dict(self.items())
 
     def covering_origins(self, prefix: Prefix) -> FrozenSet[int]:
         """Origins via exact match, else the least-specific covering prefix.

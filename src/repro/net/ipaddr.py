@@ -59,7 +59,7 @@ def int_to_address(value: int) -> str:
     """
     if not 0 <= value <= MAX_IPV4:
         raise AddressError(f"address integer out of range: {value}")
-    return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
+    return f"{value >> 24}.{value >> 16 & 0xFF}.{value >> 8 & 0xFF}.{value & 0xFF}"
 
 
 def parse_address(text: str) -> int:

@@ -74,21 +74,44 @@ class RpkiArchive:
         ]
 
     # -- directory format ---------------------------------------------------
-    def to_directory(self, directory: Path) -> None:
-        """Write one ``vrps-<timestamp>.csv`` per snapshot."""
+    def to_directory(
+        self, directory: Path, rendered: Optional[Dict[RoaSet, str]] = None
+    ) -> None:
+        """Write one ``vrps-<timestamp>.csv`` per snapshot.
+
+        Snapshots that are one :class:`RoaSet` object are rendered once.
+        *rendered* (set → VRP CSV) extends that across the caller's other
+        writes of the same, unchanged sets.
+        """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
+        rendered = {} if rendered is None else rendered
         for timestamp, snapshot in self:
-            path = directory / f"vrps-{timestamp:012d}.csv"
-            path.write_text(snapshot.to_csv())
+            text = rendered.get(snapshot)
+            if text is None:
+                text = rendered[snapshot] = snapshot.to_csv()
+            (directory / f"vrps-{timestamp:012d}.csv").write_text(text)
 
     @classmethod
-    def from_directory(cls, directory: Path) -> "RpkiArchive":
-        """Load an archive written by :meth:`to_directory`."""
+    def from_directory(
+        cls, directory: Path, parsed: Optional[Dict[str, RoaSet]] = None
+    ) -> "RpkiArchive":
+        """Load an archive written by :meth:`to_directory`.
+
+        Snapshot files with the same text are parsed once and share one
+        :class:`RoaSet`, as the snapshots of an in-memory archive may.
+        *parsed* (VRP CSV text → set) extends that to sets the caller
+        already parsed.
+        """
         archive = cls()
+        parsed = {} if parsed is None else parsed
         for path in sorted(Path(directory).glob("vrps-*.csv")):
             timestamp = int(path.stem.replace("vrps-", ""))
-            archive.add_snapshot(timestamp, RoaSet.from_csv(path.read_text()))
+            text = path.read_text()
+            roas = parsed.get(text)
+            if roas is None:
+                roas = parsed[text] = RoaSet.from_csv(text)
+            archive.add_snapshot(timestamp, roas)
         return archive
 
     def change_points(self, prefix: Prefix) -> List[Tuple[int, FrozenSet[int]]]:

@@ -84,6 +84,11 @@ class ROA:
         )
 
 
+def _roa_order(roa: ROA) -> Tuple[int, int, int, Optional[int]]:
+    """The dataclass order of *roa* as a plain tuple (cheaper to compare)."""
+    return (roa.prefix.network, roa.prefix.length, roa.asn, roa.max_length)
+
+
 class RoaSet:
     """One RPKI snapshot with covering-prefix indexes."""
 
@@ -160,5 +165,5 @@ class RoaSet:
     def to_csv(self) -> str:
         """Serialize to VRP CSV with a header."""
         lines = ["ASN,IP Prefix,Max Length"]
-        lines.extend(roa.to_csv_row() for roa in sorted(self._roas))
+        lines.extend(roa.to_csv_row() for roa in sorted(self._roas, key=_roa_order))
         return "\n".join(lines) + "\n"

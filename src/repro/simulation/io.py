@@ -77,15 +77,17 @@ def write_world(world: World, directory: Path) -> None:
     (directory / "rib.mrt").write_bytes(write_mrt(entries))
     (directory / "as-rel.txt").write_text(world.relationships.to_text())
     (directory / "as2org.jsonl").write_text(world.as2org.to_jsonl())
-    (directory / "vrps.csv").write_text(world.roas.to_csv())
+    # World.roas is also both RPKI snapshots: render each set once.
+    vrp_texts = {world.roas: world.roas.to_csv()}
+    (directory / "vrps.csv").write_text(vrp_texts[world.roas])
     drop_dir = directory / "drop"
     drop_dir.mkdir(exist_ok=True)
     for month in world.drop_archive.months():
         (drop_dir / f"asndrop-{month}.json").write_text(
             world.drop_archive.month(month).to_json()
         )
-    world.rpki_archive.to_directory(directory / "rpki")
-    _write_featured(directory / "featured", world)
+    world.rpki_archive.to_directory(directory / "rpki", vrp_texts)
+    _write_featured(directory / "featured", world, vrp_texts)
     (directory / "hijackers.txt").write_text(world.hijackers.to_text())
     (directory / "brokers.csv").write_text(world.broker_registry.to_csv())
     _write_exclusions(directory / "exclusions.txt", world.curation_exclusions)
@@ -120,9 +122,12 @@ def load_datasets(directory: Path) -> DatasetBundle:
         for path in sorted(drop_dir.glob("asndrop-*.json")):
             month = path.stem.replace("asndrop-", "")
             drop_archive.add_month(month, AsnDropList.from_json(path.read_text()))
+    # The RPKI snapshots usually repeat vrps.csv: parse each text once.
+    vrps_text = (directory / "vrps.csv").read_text()
+    vrp_sets = {vrps_text: RoaSet.from_csv(vrps_text)}
     rpki_dir = directory / "rpki"
     rpki_archive = (
-        RpkiArchive.from_directory(rpki_dir)
+        RpkiArchive.from_directory(rpki_dir, vrp_sets)
         if rpki_dir.exists()
         else RpkiArchive()
     )
@@ -133,7 +138,7 @@ def load_datasets(directory: Path) -> DatasetBundle:
             (directory / "as-rel.txt").read_text()
         ),
         as2org=AS2Org.from_jsonl((directory / "as2org.jsonl").read_text()),
-        roas=RoaSet.from_csv((directory / "vrps.csv").read_text()),
+        roas=vrp_sets[vrps_text],
         rpki_archive=rpki_archive,
         featured=_read_featured(directory / "featured"),
         drop_archive=drop_archive,
@@ -150,7 +155,9 @@ def load_datasets(directory: Path) -> DatasetBundle:
     )
 
 
-def _write_featured(directory: Path, world: World) -> None:
+def _write_featured(
+    directory: Path, world: World, vrp_texts: Dict[RoaSet, str]
+) -> None:
     """Persist the Fig. 3 prefix: its RPKI archive + a BGP update stream.
 
     The (timestamp, origins) observations become announce/withdraw
@@ -162,7 +169,7 @@ def _write_featured(directory: Path, world: World) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     featured = world.featured
     (directory / "prefix.txt").write_text(f"{featured.prefix}\n")
-    featured.rpki_archive.to_directory(directory / "rpki")
+    featured.rpki_archive.to_directory(directory / "rpki", vrp_texts)
     updates = []
     previous: frozenset = frozenset()
     peer = world.collector_peers[0]

@@ -127,21 +127,20 @@ class World:
         table-dump files a real measurement pipeline would consume.
         """
         entries: List[RibEntry] = []
-        path_cache: Dict[int, Tuple[int, ...]] = {}
+        path_cache: Dict[int, ASPath] = {}
         peer = self.collector_peers[0]
         for prefix, origins in self.routing_table.items():
             for origin in sorted(origins):
-                chain = path_cache.get(origin)
-                if chain is None:
+                path = path_cache.get(origin)
+                if path is None:
                     chain = self._provider_chain(origin)
-                    path_cache[origin] = chain
-                path = (
-                    (peer,) + chain if chain and chain[0] != peer else chain
-                )
+                    if chain and chain[0] != peer:
+                        chain = (peer,) + chain
+                    path = path_cache[origin] = ASPath(chain or (peer, origin))
                 entries.append(
                     RibEntry(
                         prefix=prefix,
-                        path=ASPath(path or (peer, origin)),
+                        path=path,
                         peer_asn=peer,
                         timestamp=timestamp,
                     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Union
 
-from ..net import AddressRange
+from ..net import AddressRange, int_to_address
 from ..rir import RIR
 from .objects import (
     AutNumRecord,
@@ -154,17 +154,15 @@ def serialize_arin(objects: Iterable[RpslObject]) -> str:
     restored = []
     for obj in objects:
         canonical = RpslObject()
-        for name, value in obj.attributes:
-            canonical.attributes.append(
-                (_CANONICAL_NAMES.get(name, name), value)
-            )
+        canonical.attributes = [
+            (_CANONICAL_NAMES.get(name, name), value)
+            for name, value in obj.attributes
+        ]
         restored.append(canonical)
     return serialize_objects(restored)
 
 
 def _net_handle_for(record: InetnumRecord) -> str:
     """ARIN-style synthetic handle, e.g. ``NET-192-0-2-0-1``."""
-    from ..net import int_to_address
-
     dashed = int_to_address(record.range.first).replace(".", "-")
     return f"NET-{dashed}-1"

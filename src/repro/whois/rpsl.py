@@ -8,7 +8,7 @@ with whitespace or ``+``.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, TextIO, Union
+from typing import Iterable, Iterator, Optional, TextIO, Union
 
 from ..net import AddressRange
 from ..rir import RIR
@@ -73,11 +73,9 @@ def parse_rpsl_file(handle: TextIO) -> Iterator[RpslObject]:
 
 def serialize_object(obj: RpslObject, column: int = 16) -> str:
     """Render one object in aligned RPSL form (no trailing blank line)."""
-    rendered: List[str] = []
-    for name, value in obj.attributes:
-        label = f"{name}:"
-        rendered.append(f"{label:<{column}}{value}".rstrip())
-    return "\n".join(rendered)
+    return "\n".join(
+        [(f"{name}:".ljust(column) + value).rstrip() for name, value in obj.attributes]
+    )
 
 
 def serialize_objects(objects: Iterable[RpslObject], column: int = 16) -> str:

@@ -130,15 +130,15 @@ class TestRoutingTable:
         assert not table.withdraw(moas)
         assert len(table) == 1
 
-    def test_exact_index_is_a_snapshot(self):
+    def test_items_are_a_snapshot(self):
         table = RoutingTable()
         prefix = Prefix.parse("203.0.113.0/24")
         table.add_route(prefix, 64500)
-        index = table.exact_index()
+        index = dict(table.items())
         table.add_route(prefix, 64501)
         table.add_route(Prefix.parse("198.51.100.0/24"), 64502)
         assert index == {prefix: frozenset({64500})}
-        assert table.exact_index()[prefix] == frozenset({64500, 64501})
+        assert table.exact_origins(prefix) == frozenset({64500, 64501})
 
 
 class TestTableDump:

@@ -11,9 +11,13 @@ after an intentional change::
 (and likewise ``evaluate`` for table 2, ``legacy`` and ``rpki`` for
 the extension-pipeline fixtures), with ``<dir>`` written by
 ``repro generate --small --seed 7``.
+
+``dumps_small_world.sha256`` pins every byte ``write_world`` writes for
+that world (``make golden-dumps`` regenerates it).
 """
 
 import contextlib
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -61,6 +65,23 @@ class TestGoldenTables:
     def test_table2_matches_golden(self, data_dir):
         produced = _cli_json(["evaluate", "--data", str(data_dir), "--json"])
         assert produced == _golden("table2_small_world.json")
+
+
+class TestGoldenDumps:
+    def test_every_dump_matches_its_digest(self, tmp_path):
+        write_world(build_world(small_world(seed=7)), tmp_path)
+        expected = {}
+        for line in (GOLDEN_DIR / "dumps_small_world.sha256").read_text().splitlines():
+            digest, path = line.split(None, 1)
+            expected[path] = digest
+        produced = {
+            path.relative_to(tmp_path).as_posix(): hashlib.sha256(
+                path.read_bytes()
+            ).hexdigest()
+            for path in tmp_path.rglob("*")
+            if path.is_file()
+        }
+        assert produced == expected
 
 
 class TestGoldenExtensionPipelines:

@@ -137,7 +137,7 @@ class TestEngineBaseline:
         assert report.reclassified == 0
 
     def test_sequenced_wrappers_unwrapped(self, engine, world):
-        prefix = sorted(world.routing_table.exact_index())[0]
+        prefix = sorted(world.routing_table.prefixes())[0]
         message = SequencedUpdate(
             sequence=1,
             update=WithdrawUpdate(timestamp=1712102400, prefix=prefix),
@@ -149,7 +149,7 @@ class TestEngineBaseline:
     def test_withdraw_then_scratch_rebuild_identical(
         self, engine, world
     ):
-        prefix = sorted(world.routing_table.exact_index())[0]
+        prefix = sorted(world.routing_table.prefixes())[0]
         engine.apply([withdraw(str(prefix))])
         mutated = clone_routing_table(world.routing_table)
         replay_into_table(mutated, [withdraw(str(prefix))])
@@ -212,7 +212,7 @@ class TestResultDigest:
         assert result_digest(result) == result_digest(reversed_result)
 
     def test_digest_sees_category_changes(self, pipeline, engine, world):
-        prefix = sorted(world.routing_table.exact_index())[0]
+        prefix = sorted(world.routing_table.prefixes())[0]
         before = engine.digest()
         report = engine.apply([withdraw(str(prefix))])
         if report.changed:

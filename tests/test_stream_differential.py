@@ -174,7 +174,7 @@ class TestInterleavedBursts:
 
     @pytest.fixture(scope="class")
     def pools(self, small):
-        routed = sorted(small.routing_table.exact_index())
+        routed = sorted(small.routing_table.prefixes())
         prefixes = routed[:32]
         # Covering supernets and never-routed siblings widen the attack
         # surface to exposure/occlusion churn.
