@@ -54,12 +54,11 @@ perfbench-test:
 bench-pipeline:
 	PYTHONPATH=src $(PYTHON) -m repro.cli bench --out BENCH_pipeline.json
 
-# Full internet-scale tier with the shared-memory engine and memory
-# columns; takes minutes (world build dominates). See PERFORMANCE.md.
+# Full internet-scale tier with the peak-RSS column; takes minutes
+# (world build dominates). See PERFORMANCE.md.
 bench-xlarge:
 	PYTHONPATH=src $(PYTHON) -m repro.cli bench --out BENCH_pipeline.json \
-		--sizes xlarge --repeats 1 --no-extensions \
-		--memory --spawn --shm
+		--sizes xlarge --repeats 1 --no-extensions --memory
 
 bench-serve:
 	PYTHONPATH=src $(PYTHON) -m repro.cli loadgen --out BENCH_serve.json

@@ -462,9 +462,9 @@ def _ripple_dependents(
     every module that imports it — transitively — must be re-analyzed
     too: its cached summaries may mention the edited callee.  Edges are
     read from the *cached* facts (the only ones available before the
-    re-parse) and matched coarsely: ``from repro.core import shm`` and
-    ``import repro.core.shm`` both count as depending on
-    ``repro.core.shm``.  With no misses this is a no-op, keeping the
+    re-parse) and matched coarsely: ``from repro.core import context`` and
+    ``import repro.core.context`` both count as depending on
+    ``repro.core.context``.  With no misses this is a no-op, keeping the
     warm-unchanged path at zero re-analyzed modules.
     """
     if not misses:

@@ -1,10 +1,10 @@
 """Concurrency invariants: RC101 (sharding funnel), RC104/RC110 (async
 purity).
 
-The sharded execution layer was designed so that *all* process
-parallelism flows through :func:`repro.core.sharding.run_sharded` —
-that is the one place that knows about fork/spawn trade-offs,
-``gc.freeze``, and worker-state initialization.  The serve loop is a
+All process parallelism flows through
+:func:`repro.core.sharding.run_sharded` — that is the one place that
+knows about fork/spawn trade-offs, ``gc.freeze``, and worker-state
+initialization.  The serve loop is a
 single asyncio event loop; one blocking call stalls every in-flight
 request — whether it sits in the coroutine body (RC104) or one sync
 helper away from it (RC110, via the project call graph).
@@ -38,18 +38,12 @@ __all__ = [
 @register_check_rule
 class MultiprocessingConfined(CheckRule):
     """``multiprocessing`` / ``concurrent.futures`` may only be imported
-    by ``repro.core.sharding`` — plus a narrow shared-memory carve-out
-    for ``repro.core.shm``.
+    by ``repro.core.sharding``.
 
-    Every pipeline parallelizes through ``run_sharded``, which owns the
-    fork-vs-spawn decision, payload pickling, and ``gc.freeze``.  A
+    All process parallelism goes through ``run_sharded``, which owns
+    the fork-vs-spawn decision, payload pickling, and ``gc.freeze``.  A
     second pool implementation would fork its own copy of those
-    trade-offs and silently miss fixes applied to the funnel.  The
-    zero-copy context (``repro.core.shm``) needs the segment
-    primitives but must never grow a pool of its own, so it may import
-    exactly ``multiprocessing.shared_memory`` and
-    ``multiprocessing.resource_tracker`` — nothing else from either
-    banned package.
+    trade-offs and silently miss fixes applied to the funnel.
 
     Remediation: Express the parallel step as a ``run_sharded`` call
     (payload + module-level runner function).  If ``run_sharded``
@@ -61,12 +55,6 @@ class MultiprocessingConfined(CheckRule):
     title = "process pools confined to repro.core.sharding"
 
     ALLOWED_MODULES = frozenset({"repro.core.sharding"})
-    #: Modules allowed the shared-memory primitives (and nothing else).
-    SHARED_MEMORY_MODULES = frozenset({"repro.core.shm"})
-    _SHM_ALLOWED_SOURCES = frozenset(
-        {"multiprocessing.shared_memory", "multiprocessing.resource_tracker"}
-    )
-    _SHM_ALLOWED_NAMES = frozenset({"shared_memory", "resource_tracker"})
     _BANNED_PREFIXES = ("multiprocessing", "concurrent.futures")
 
     def _banned(self, name: str) -> bool:
@@ -80,26 +68,19 @@ class MultiprocessingConfined(CheckRule):
     ) -> Iterator[CheckFinding]:
         if module.module in self.ALLOWED_MODULES:
             return
-        shm_module = module.module in self.SHARED_MEMORY_MODULES
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
-                    if not self._banned(alias.name):
-                        continue
-                    if shm_module and alias.name in self._SHM_ALLOWED_SOURCES:
-                        continue
-                    yield self.finding(
-                        module,
-                        node,
-                        f"import of {alias.name} outside "
-                        "repro.core.sharding; go through run_sharded()",
-                    )
+                    if self._banned(alias.name):
+                        yield self.finding(
+                            module,
+                            node,
+                            f"import of {alias.name} outside "
+                            "repro.core.sharding; go through run_sharded()",
+                        )
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 source = node.module or ""
                 if self._banned(source):
-                    if shm_module:
-                        yield from self._check_shm_from(module, node, source)
-                        continue
                     yield self.finding(
                         module,
                         node,
@@ -116,31 +97,6 @@ class MultiprocessingConfined(CheckRule):
                                 "repro.core.sharding; go through "
                                 "run_sharded()",
                             )
-
-    def _check_shm_from(
-        self, module: "ModuleSource", node: ast.ImportFrom, source: str
-    ) -> Iterator[CheckFinding]:
-        """The carve-out: shared-memory sources pass, pools still fire."""
-        if source in self._SHM_ALLOWED_SOURCES:
-            return
-        if source == "multiprocessing":
-            for alias in node.names:
-                if alias.name not in self._SHM_ALLOWED_NAMES:
-                    yield self.finding(
-                        module,
-                        node,
-                        f"import of multiprocessing.{alias.name} in "
-                        "repro.core.shm; only shared_memory and "
-                        "resource_tracker are allowed there",
-                    )
-            return
-        yield self.finding(
-            module,
-            node,
-            f"import from {source} in repro.core.shm; only "
-            "multiprocessing.shared_memory and "
-            "multiprocessing.resource_tracker are allowed there",
-        )
 
 
 # The shared blocking-call vocabulary lives in ``repro.check.graph`` so

@@ -2,7 +2,7 @@
 
 The whole scaling architecture hangs off frozen snapshots: one
 ``AnalysisContext`` (with its ``RibSnapshot``/``RoaSnapshot``) is built
-per run and shared across worker processes, and the serve layer swaps
+per run and shared by every engine, and the serve layer swaps
 immutable ``LeaseIndex`` generations atomically.  Mutating one of
 these after construction corrupts every consumer that assumed the
 freeze — whether the assignment is written in place (RC102) or hidden
@@ -37,12 +37,12 @@ class SnapshotImmutability(CheckRule):
     their defining module.
 
     ``AnalysisContext``, ``RibSnapshot``, ``RoaSnapshot`` and
-    ``LeaseIndex`` are built once and then shared — across worker
-    processes (pickled at fork/spawn) and across concurrent requests
-    (generation-swapped).  Any post-construction mutation desynchronizes
-    copies silently: workers keep the old value, the serve cache keys
-    stop matching, and digest equivalence with the frozen references
-    breaks in ways no local test sees.
+    ``LeaseIndex`` are built once and then shared — across engines and
+    across concurrent requests (generation-swapped).  Any
+    post-construction mutation desynchronizes readers silently: the
+    incremental engine and the serve cache keys stop matching, and
+    digest equivalence with the frozen references breaks in ways no
+    local test sees.
 
     Remediation: Build a *new* snapshot with the changed value (the
     constructors and ``from_*``/``build`` factories exist for this) or,
@@ -116,9 +116,7 @@ class SpawnSafePayloads(CheckRule):
     platforms that is the *only* state a worker gets.  A class with no
     ``__getstate__``/``__reduce__``/``__slots__`` has never had its
     pickled form thought about — lazily built caches, open handles, or
-    megabytes of derived indexes ride along silently (the
-    ``AnalysisContext.__getstate__`` leaf-record drop exists precisely
-    because of this).
+    megabytes of derived indexes ride along silently.
 
     Remediation: Give the class an explicit ``__getstate__`` (drop
     derived/unpicklable state) or ``__slots__`` declaration, or — after

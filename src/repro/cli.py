@@ -115,20 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="validate cross-dataset consistency before writing",
     )
 
-    def add_worker_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            help="classify shards across this many processes (default 1)",
-        )
-        p.add_argument(
-            "--shard-size",
-            type=int,
-            default=None,
-            help="leaves per shard (default: pipeline default)",
-        )
-
     for name, helptext in (
         ("infer", "run lease inference and print Table 1"),
         ("evaluate", "curate the reference dataset and print Table 2"),
@@ -145,8 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="run diagnostics first and abort on errors",
             )
-        if name in ("infer", "legacy", "rpki"):
-            add_worker_options(command)
         if name in ("infer", "evaluate", "legacy", "rpki"):
             command.add_argument(
                 "--json",
@@ -275,7 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "run-all", help="generate in memory and print every table"
     )
     add_scenario_options(run_all)
-    add_worker_options(run_all)
     run_all.add_argument(
         "--strict",
         action="store_true",
@@ -298,11 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "xlarge, internet (default small,medium,large)",
     )
     bench.add_argument(
-        "--workers",
-        default=None,
-        help="comma-separated parallel worker counts (default 2,4)",
-    )
-    bench.add_argument(
         "--repeats",
         type=int,
         default=2,
@@ -312,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--quick",
         action="store_true",
-        help="CI smoke mode: small world, one parallel mode, one repeat",
+        help="CI smoke mode: small world, one repeat",
     )
     bench.add_argument(
         "--no-extensions",
@@ -322,18 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--memory",
         action="store_true",
-        help="record peak RSS and per-worker payload bytes per mode",
-    )
-    bench.add_argument(
-        "--shm",
-        action="store_true",
-        help="also time a parallel-N-shm (fork + shared-memory RIB) mode",
-    )
-    bench.add_argument(
-        "--spawn",
-        action="store_true",
-        help="also time spawn-N and spawn-N-shm modes (the payload-bytes "
-        "comparison behind the shared-memory engine)",
+        help="record the peak RSS after each mode",
     )
     bench.add_argument(
         "--xlarge-scale",
@@ -466,7 +433,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="serve lease lookups over HTTP from an inference snapshot",
     )
     add_scenario_options(serve)
-    add_worker_options(serve)
     serve.add_argument(
         "--data",
         type=Path,
@@ -584,14 +550,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _infer_bundle(bundle: DatasetBundle, args: Optional[argparse.Namespace] = None):
+def _infer_bundle(bundle: DatasetBundle):
     return infer_leases(
         bundle.whois,
         bundle.routing_table,
         bundle.relationships,
         bundle.as2org,
-        workers=getattr(args, "workers", 1) if args is not None else 1,
-        shard_size=getattr(args, "shard_size", None) if args is not None else None,
     )
 
 
@@ -602,7 +566,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 
         if _strict_gate(DiagnosticContext.from_bundle(bundle)):
             return 1
-    result = _infer_bundle(bundle, args)
+    result = _infer_bundle(bundle)
     if getattr(args, "json", False):
         import json
 
@@ -620,7 +584,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     bundle = load_datasets(args.data)
-    result = _infer_bundle(bundle, args)
+    result = _infer_bundle(bundle)
     reference = curate_reference(
         bundle.whois,
         bundle.broker_registry,
@@ -763,10 +727,7 @@ def _cmd_legacy(args: argparse.Namespace) -> int:
     oracle = RelatednessOracle(bundle.relationships, bundle.as2org)
     verdicts = LegacyLeasePipeline(
         bundle.whois, bundle.routing_table, oracle
-    ).run(
-        workers=getattr(args, "workers", 1),
-        shard_size=getattr(args, "shard_size", None),
-    )
+    ).run()
     if getattr(args, "json", False):
         import json
 
@@ -807,18 +768,14 @@ def _cmd_rpki(args: argparse.Namespace) -> int:
         bundle.relationships,
         bundle.as2org,
     )
-    workers = getattr(args, "workers", 1)
-    shard_size = getattr(args, "shard_size", None)
-    result = pipeline.run(workers=workers, shard_size=shard_size)
+    result = pipeline.run()
     profiler = RpkiValidationPipeline(
         bundle.routing_table, bundle.roas, context=pipeline.context
     )
     leased = result.leased_prefixes()
     other = set(bundle.routing_table.prefixes()) - leased
     profiles = {
-        label: profiler.profile(
-            sorted(population), workers=workers, shard_size=shard_size
-        )
+        label: profiler.profile(sorted(population))
         for label, population in (("leased", leased), ("non-leased", other))
     }
     if getattr(args, "json", False):
@@ -877,10 +834,7 @@ def _lease_index(args: argparse.Namespace, scenario=None):
         label = "small world" if scenario is not None or getattr(
             args, "small", False
         ) else f"paper world (1/{args.scale})"
-    result = pipeline.run(
-        workers=getattr(args, "workers", 1),
-        shard_size=getattr(args, "shard_size", None),
-    )
+    result = pipeline.run()
     assert pipeline.context is not None
     index = LeaseIndex.build(pipeline.context, result)
     return index, label, pipeline, result, world
@@ -1183,8 +1137,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         world.routing_table,
         world.relationships,
         world.as2org,
-        workers=getattr(args, "workers", 1),
-        shard_size=getattr(args, "shard_size", None),
     )
     print(render_table1(result, world.routing_table.num_prefixes()))
     print()

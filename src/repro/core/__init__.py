@@ -3,8 +3,8 @@
 Public surface:
 
 * :class:`LeaseInferencePipeline` / :func:`infer_leases` — §5 end to end.
-* :class:`AnalysisContext` — the shared, spawn-safe substrate snapshot
-  every fast engine (base, legacy, RPKI, longitudinal) draws from.
+* :class:`AnalysisContext` — the shared, read-only substrate snapshot
+  the fast engines (base, legacy, RPKI, incremental) draw from.
 * :class:`AllocationTree` — §5.1 address allocation trees.
 * :class:`Category` / :func:`classify_leaf` — §5.2 leaf classification.
 * :func:`curate_reference` / :func:`evaluate_inference` — §5.3/§6.2.
@@ -79,11 +79,9 @@ from .reference import ReferenceDataset, curate_reference
 from .relatedness import RelatednessOracle
 from .results import InferenceResult, LeafInference, RegionalTally
 from .sharding import (
-    DEFAULT_SHARD_SIZE,
     CacheStats,
     Shard,
     ShardClassifier,
-    effective_workers,
     fork_available,
     plan_shards,
     run_sharded,
@@ -110,13 +108,11 @@ __all__ = [
     "replay_into_table",
     "result_digest",
     "CacheStats",
-    "DEFAULT_SHARD_SIZE",
     "MemoizedClassifier",
     "RibSnapshot",
     "RoaSnapshot",
     "Shard",
     "ShardClassifier",
-    "effective_workers",
     "fork_available",
     "plan_shards",
     "run_sharded",

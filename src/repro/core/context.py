@@ -6,17 +6,15 @@ longitudinal comparison.  It snapshots everything those engines query:
 
 * the RIB's exact-match and covering-prefix indexes
   (:class:`RibSnapshot`, one prefix map),
-* the per-registry allocation scan (leaf keys + tree stats),
+* the per-registry allocation scan (classifiable leaves + tree stats),
 * the AS-relationship closure (per-AS "business family" sets that fold
   AS relationships and AS2org membership into one frozenset), and
 * the per-registry organisation → RIR-assigned-ASN maps.
 
-The snapshot is deliberately **pickle-cheap and spawn-safe**: every
-field is built from hashable immutables (``Prefix``, ``frozenset``,
-tuples), and the one heavy structure — the full ``TreeLeaf`` record
-lists — is dropped by ``__getstate__`` so spawn-based worker pools ship
-only the compact classification keys.  Workers classify from keys; the
-parent keeps the records and reassembles full inferences.
+Every lookup table is built from hashable immutables (``Prefix``,
+``frozenset``, tuples) and never mutated after
+:meth:`AnalysisContext.build`, so one snapshot can back many engines and
+concurrent readers at once.
 
 Covering lookups use :class:`~repro.net.PrefixTrie`'s length probes:
 CIDR prefixes nest or are disjoint, so every covering prefix of ``p``
@@ -54,18 +52,13 @@ __all__ = ["AnalysisContext", "RibSnapshot", "RoaSnapshot"]
 
 _EMPTY: FrozenSet[int] = frozenset()
 
-#: The compact per-leaf classification input shipped to workers:
-#: ``(leaf_prefix, root_prefix, root_org_id)``.  Everything the §5.2
-#: decision needs that is not already in the shared context.
-LeafKey = Tuple[Prefix, Optional[Prefix], Optional[str]]
-
 
 class RibSnapshot:
     """Frozen exact/covering origin lookups over a routing table.
 
     Semantically identical to :meth:`RoutingTable.exact_origins` and
     :meth:`RoutingTable.covering_origins`, but over frozen origin sets
-    (picklable, shareable across processes) instead of the live table.
+    instead of the live table.
     """
 
     __slots__ = ("_map",)
@@ -155,16 +148,14 @@ class AnalysisContext:
         rib: RibSnapshot,
         related_sets: Dict[int, FrozenSet[int]],
         assigned: Dict[RIR, Dict[str, FrozenSet[int]]],
-        leaf_keys: Dict[RIR, Tuple[LeafKey, ...]],
         stats: Dict[RIR, Dict[str, int]],
-        leaves: Optional[Dict[RIR, List[TreeLeaf]]],
+        leaves: Dict[RIR, List[TreeLeaf]],
     ) -> None:
         self.rirs = rirs
         self.max_leaf_length = max_leaf_length
         self.rib = rib
         self.related_sets = related_sets
         self.assigned = assigned
-        self.leaf_keys = leaf_keys
         self.stats = stats
         self._leaves = leaves
 
@@ -193,7 +184,6 @@ class AnalysisContext:
             }
 
         work_rirs: List[RIR] = []
-        leaf_keys: Dict[RIR, Tuple[LeafKey, ...]] = {}
         stats: Dict[RIR, Dict[str, int]] = {}
         leaves: Dict[RIR, List[TreeLeaf]] = {}
         for rir in rirs if rirs is not None else list(RIR):
@@ -205,21 +195,12 @@ class AnalysisContext:
             work_rirs.append(rir)
             stats[rir] = scan.stats()
             leaves[rir] = region_leaves
-            leaf_keys[rir] = tuple(
-                (
-                    leaf.prefix,
-                    leaf.root_prefix,
-                    leaf.root_record.org_id if leaf.root_record else None,
-                )
-                for leaf in region_leaves
-            )
         return cls(
             rirs=tuple(work_rirs),
             max_leaf_length=max_leaf_length,
             rib=rib,
             related_sets=related_sets,
             assigned=assigned,
-            leaf_keys=leaf_keys,
             stats=stats,
             leaves=leaves,
         )
@@ -268,34 +249,12 @@ class AnalysisContext:
         return self.assigned.get(rir, {}).get(org_id, _EMPTY)
 
     def leaves(self, rir: RIR) -> List[TreeLeaf]:
-        """The full leaf records for *rir* (parent side only)."""
-        if self._leaves is None:
-            raise RuntimeError(
-                "AnalysisContext leaf records were stripped for worker "
-                "transfer; only the parent process holds them"
-            )
+        """The classifiable leaf records for *rir*, in scan order."""
         return self._leaves.get(rir, [])
 
     def total_leaves(self) -> int:
         """Classifiable leaves across all snapshotted registries."""
-        return sum(len(keys) for keys in self.leaf_keys.values())
-
-    # -- pickling ---------------------------------------------------------
-    def __getstate__(self) -> Dict[str, object]:
-        """Drop the heavy record lists: workers classify from keys."""
-        return {
-            "rirs": self.rirs,
-            "max_leaf_length": self.max_leaf_length,
-            "rib": self.rib,
-            "related_sets": self.related_sets,
-            "assigned": self.assigned,
-            "leaf_keys": self.leaf_keys,
-            "stats": self.stats,
-        }
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._leaves = None
+        return sum(len(leaves) for leaves in self._leaves.values())
 
 
 def build_related_sets(

@@ -32,7 +32,6 @@ from ..whois.objects import InetnumRecord
 from .allocation_tree import DEFAULT_MAX_LEAF_LENGTH
 from .context import AnalysisContext
 from .relatedness import RelatednessOracle
-from .sharding import effective_workers, run_sharded
 
 __all__ = [
     "LegacyVerdict",
@@ -175,14 +174,13 @@ def _registration_differs(
 
 # -- fast engine ----------------------------------------------------------
 #
-# The fast engine splits the reference loop into a parent-side scan and a
+# The fast engine splits the reference loop into a registry scan and a
 # context-only verdict step.  The scan resolves each legacy block's
 # most-specific registered parent with a sorted enclosing-interval stack
 # (prefixes nest or are disjoint, so the stack top after popping closed
 # intervals *is* ``trie.parent``) and reduces every block to a compact
-# key.  Keys are what ships to worker processes; verdicts come entirely
-# from the shared :class:`AnalysisContext`, so serial and sharded runs
-# execute the identical code path.
+# key; verdicts then come entirely from the shared
+# :class:`AnalysisContext`.
 
 #: ``(prefix, record_org, parent_prefix, parent_org, registration_signal)``
 _LegacyKey = Tuple[Prefix, Optional[str], Optional[Prefix], Optional[str], bool]
@@ -264,19 +262,12 @@ def _legacy_rows(
     return rows
 
 
-def _legacy_shard(payload, shard):
-    """Module-level shard runner for :func:`run_sharded`."""
-    context, units = payload
-    rir, keys = units[shard.work_index]
-    return _legacy_rows(context, rir, keys[shard.start : shard.stop])
-
-
 class LegacyLeasePipeline:
-    """Context-backed legacy inference with serial and sharded engines.
+    """Context-backed legacy inference with a fast and a reference engine.
 
-    Mirrors ``LeaseInferencePipeline``: :meth:`run` is the fast path
-    (``workers``/``shard_size`` select process-parallel sharding),
-    :meth:`run_reference` delegates to the frozen
+    Mirrors ``LeaseInferencePipeline``: :meth:`run` is the fast path over
+    the shared :class:`AnalysisContext`, :meth:`run_reference` delegates
+    to the frozen
     :func:`infer_legacy_leases`, and both produce bit-identical output.
     """
 
@@ -305,9 +296,7 @@ class LegacyLeasePipeline:
             )
         return self.context
 
-    def run(
-        self, workers: int = 1, shard_size: Optional[int] = None
-    ) -> List[LegacyInference]:
+    def run(self) -> List[LegacyInference]:
         """Classify every legacy block; bit-equal to the reference."""
         context = self._ensure_context()
         units = []
@@ -325,28 +314,9 @@ class LegacyLeasePipeline:
             )
             units.append((database.rir, scan, keys))
 
-        total = sum(len(keys) for _rir, _scan, keys in units)
-        pool_size = effective_workers(workers, total, shard_size)
-        if pool_size <= 1:
-            rows_per_unit = [
-                _legacy_rows(context, rir, keys)
-                for rir, _scan, keys in units
-            ]
-        else:
-            payload = (
-                context,
-                tuple((rir, keys) for rir, _scan, keys in units),
-            )
-            shards, outputs = run_sharded(
-                payload,
-                _legacy_shard,
-                [len(keys) for _rir, _scan, keys in units],
-                pool_size,
-                shard_size,
-            )
-            rows_per_unit = [[] for _ in units]
-            for shard, rows in zip(shards, outputs):
-                rows_per_unit[shard.work_index].extend(rows)
+        rows_per_unit = [
+            _legacy_rows(context, rir, keys) for rir, _scan, keys in units
+        ]
 
         results: List[LegacyInference] = []
         for (rir, scan, _keys), rows in zip(units, rows_per_unit):

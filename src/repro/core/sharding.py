@@ -1,23 +1,21 @@
-"""Sharded, process-parallel execution for the analysis engines.
+"""The §5.2 classifier every lease engine shares, plus a process fan-out.
 
-Every fast engine in this package is embarrassingly parallel across its
-items: lease verdicts depend only on one leaf plus the read-only
-:class:`~repro.core.context.AnalysisContext`, legacy verdicts on one
-block, RPKI outcomes on one announcement.  This module provides the one
-generic fan-out they all share — :func:`run_sharded` partitions the
-items of every work unit into contiguous shards and runs a module-level
-``runner(payload, shard)`` across a ``ProcessPoolExecutor``.
+:class:`ShardClassifier` is the classification hot path: one per
+registry (the serial pipeline) or per incremental engine, every lookup
+served from the read-only :class:`~repro.core.context.AnalysisContext`,
+with four pure-memoization caches whose counters land in
+:class:`CacheStats`.
 
-The pool is start-method agnostic.  Under **fork**, workers inherit the
-payload through copy-on-write and nothing is pickled; under **spawn**
-(platforms without fork), the initializer ships the payload exactly once
-per worker — the payload is the pickle-cheap shared context plus compact
-key tuples, never record objects.  Both modes return shard outputs in
-plan order, so reassembly is deterministic regardless of scheduling.
-
-:class:`ShardClassifier` is the §5.2 hot path: one per shard (or per
-region, serially), all lookups served from the shared context, with
-four pure-memoization caches whose counters land in :class:`CacheStats`.
+The analysis engines classify serially: on every measured world and
+host, process pools lost to the serial engine, because rebuilding the
+parent's result objects from worker rows cost more than classifying
+(``docs/PERFORMANCE.md``).  :func:`run_sharded` remains as the one
+process fan-out for work whose items are independent and expensive —
+today the file-level analysis of ``repro check --jobs``.  It partitions
+each work unit's items into contiguous shards and maps a module-level
+``runner(payload, shard)`` across a ``ProcessPoolExecutor``, fork where
+the platform has it and spawn otherwise, returning shard outputs in
+plan order so reassembly is deterministic.
 """
 
 from __future__ import annotations
@@ -42,20 +40,13 @@ from .classify import Category
 from .context import AnalysisContext, RibSnapshot
 
 __all__ = [
-    "DEFAULT_SHARD_SIZE",
     "CacheStats",
     "Shard",
     "ShardClassifier",
     "plan_shards",
     "fork_available",
-    "effective_workers",
     "run_sharded",
 ]
-
-#: Items per shard when ``--shard-size`` is not given.  Small enough to
-#: balance five unevenly sized regions across four workers, large enough
-#: that per-shard cache warm-up stays negligible.
-DEFAULT_SHARD_SIZE = 2048
 
 _EMPTY: FrozenSet[int] = frozenset()
 
@@ -124,16 +115,11 @@ class Shard:
         return self.stop - self.start
 
 
-#: What a classification worker sends back per leaf: the category name
-#: plus the three origin sets as sorted tuples.  Records stay in the
-#: parent, so IPC moves only small immutables.
-_Row = Tuple[str, Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]
-
 _CategoryKey = Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]
 
 
 class ShardClassifier:
-    """Per-shard memoized §5.2 classification over the shared context.
+    """Memoized §5.2 classification over the shared context.
 
     Resolution per leaf mirrors the reference engine exactly: exact
     origins for the leaf, exact-then-covering (or exact-only, when the
@@ -297,41 +283,26 @@ class ShardClassifier:
         )
 
 
-def plan_shards(
-    unit_lengths: Sequence[int], shard_size: Optional[int] = None
-) -> List[Shard]:
+def plan_shards(unit_lengths: Sequence[int], shard_size: int) -> List[Shard]:
     """Slice each work unit into contiguous shards of ``shard_size``."""
-    size = shard_size or DEFAULT_SHARD_SIZE
-    if size < 1:
-        raise ValueError(f"shard_size must be >= 1, got {size}")
+    if shard_size < 1:
+        raise ValueError(f"shard_size must be >= 1, got {shard_size}")
     shards: List[Shard] = []
     for work_index, count in enumerate(unit_lengths):
-        for start in range(0, count, size):
+        for start in range(0, count, shard_size):
             shards.append(
-                Shard(work_index, start, min(start + size, count))
+                Shard(work_index, start, min(start + shard_size, count))
             )
     return shards
 
 
 def fork_available() -> bool:
-    """True when the platform supports the fork start method."""
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-def effective_workers(
-    workers: int, total_items: int, shard_size: Optional[int] = None
-) -> int:
-    """The worker count actually used: serial for small inputs.
-
-    One shard's worth of items (or fewer) never pays pool start-up.
-    Platforms without fork no longer force serial: the shared context is
-    spawn-safe, so the pool pickles it once per worker and proceeds.
-    """
-    if workers <= 1:
-        return 1
-    if total_items <= (shard_size or DEFAULT_SHARD_SIZE):
-        return 1
-    return workers
+    """True when the platform can start pool workers by forking."""
+    try:
+        multiprocessing.get_context("fork")
+    except ValueError:
+        return False
+    return True
 
 
 # Worker-side state.  Under fork the initializer arguments are inherited
@@ -362,8 +333,7 @@ def run_sharded(
     runner: Callable[[object, Shard], object],
     unit_lengths: Sequence[int],
     workers: int,
-    shard_size: Optional[int] = None,
-    start_method: Optional[str] = None,
+    shard_size: int,
 ) -> Tuple[List[Shard], List[object]]:
     """Run ``runner(payload, shard)`` across a process pool.
 
@@ -371,34 +341,19 @@ def run_sharded(
     item order — deterministic regardless of which worker ran what.
     ``runner`` must be a module-level function (spawn pickles it by
     reference) and ``payload`` must be picklable on spawn platforms;
-    under fork neither is ever serialized.
-
-    ``start_method`` pins the pool's start method (``"fork"`` /
-    ``"spawn"`` / ``"forkserver"``); the default picks fork where
-    available.  Benchmarks and equivalence tests use the pin to measure
-    both code paths on one platform.
+    under fork neither is ever serialized.  The pool forks where the
+    platform supports it and spawns otherwise.
     """
     shards = plan_shards(unit_lengths, shard_size)
     if not shards:
         return [], []
     pool_size = min(workers, len(shards))
-    if start_method is None:
-        use_fork = fork_available()
-        method = "fork" if use_fork else "spawn"
-    else:
-        if start_method not in multiprocessing.get_all_start_methods():
-            raise ValueError(
-                f"start method {start_method!r} unavailable on this "
-                "platform"
-            )
-        method = start_method
-        use_fork = method == "fork"
-    mp_context = multiprocessing.get_context(method)
+    use_fork = fork_available()
+    mp_context = multiprocessing.get_context("fork" if use_fork else "spawn")
     if use_fork:
         # Freeze the inherited heap so worker GC passes skip it: without
         # this, the first collection in each child walks every parent
-        # object and copy-on-write duplicates the whole heap — on large
-        # worlds that costs more than the classification itself.
+        # object and copy-on-write duplicates the whole heap.
         gc.collect()
         gc.freeze()
     try:
@@ -413,31 +368,3 @@ def run_sharded(
         if use_fork:
             gc.unfreeze()
     return shards, outputs
-
-
-def classify_shard_rows(
-    payload: Tuple[AnalysisContext, bool, Tuple[RIR, ...]], shard: Shard
-) -> Tuple[List[_Row], CacheStats]:
-    """Classify one shard of leaf keys from the shared context.
-
-    The module-level runner for the lease pipeline's parallel mode:
-    ``payload`` is ``(context, use_covering_root_lookup, rir_order)``
-    and ``shard.work_index`` indexes ``rir_order``.
-    """
-    context, use_covering, rir_order = payload
-    rir = rir_order[shard.work_index]
-    classifier = ShardClassifier(context, rir, use_covering)
-    rows: List[_Row] = []
-    for key in context.leaf_keys[rir][shard.start : shard.stop]:
-        category, leaf_origins, root_origins, assigned = classifier.classify(
-            *key
-        )
-        rows.append(
-            (
-                category.name,
-                tuple(sorted(leaf_origins)),
-                tuple(sorted(root_origins)),
-                tuple(sorted(assigned)),
-            )
-        )
-    return rows, classifier.stats()

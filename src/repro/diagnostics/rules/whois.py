@@ -1,8 +1,7 @@
 """W-series rules: structural checks over the regional WHOIS databases.
 
-These generalize the original ``repro.whois.lint`` linter; the legacy
-``lint_database`` entry point now runs exactly this rule set through
-the engine and converts the findings back to ``LintIssue`` objects.
+Codes W101–W106: unknown statuses, dangling organisation references,
+orphaned non-portable blocks, duplicate and inverted ranges.
 """
 
 from __future__ import annotations

@@ -30,27 +30,17 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Sequence,
     Tuple,
     TypeVar,
 )
 
 from .ipaddr import MAX_IPV4, Prefix
 
-__all__ = [
-    "PrefixTrie",
-    "flat_covered_range",
-    "flat_covering_index",
-    "flat_exact_index",
-    "flat_longest_match_index",
-    "pack_prefix",
-    "resolve_covering_chain",
-    "unpack_prefix",
-]
+__all__ = ["PrefixTrie", "resolve_covering_chain"]
 
 V = TypeVar("V")
 
-#: Keys are 40-bit (32-bit network + 8-bit length) stored as uint64.
+#: Keys are 40 bits: a 32-bit network above an 8-bit length.
 _KEY_LENGTH_MASK = 0xFF
 
 
@@ -195,9 +185,17 @@ class PrefixTrie(Generic[V]):
 
     # -- subtree queries ----------------------------------------------------
     def _subtree_keys(self, prefix: Prefix) -> List[int]:
-        """Sorted keys equal to or more specific than *prefix*."""
+        """Sorted keys equal to or more specific than *prefix*.
+
+        CIDR alignment makes the subtree contiguous in packed order:
+        every prefix inside *prefix* has a network address in
+        ``[prefix.network, prefix.last_address]`` and sorts at or after
+        the packed *prefix* itself (shorter covering prefixes share the
+        network address but sort strictly before it).
+        """
         keys = self._sorted_keys()
-        start, stop = flat_covered_range(keys, prefix)
+        start = bisect_left(keys, (prefix.network << 8) | prefix.length)
+        stop = bisect_left(keys, (prefix.last_address + 1) << 8)
         return keys[start:stop]
 
     def _tops(self, keys: Iterable[int]) -> List[Tuple[Prefix, V]]:
@@ -264,83 +262,6 @@ class PrefixTrie(Generic[V]):
         for prefix, value in items:
             trie.insert(prefix, value)
         return trie
-
-
-# -- flat sorted-array lookups ---------------------------------------------
-#
-# A prefix set can be frozen into one sorted array of packed uint64 keys
-# (``network << 8 | length``, the same packing :class:`PrefixTrie` keys
-# its dict by) so it can live in shared memory as raw bytes, with binary
-# search as the exact probe.  These helpers run over any sorted integer
-# sequence: a list, an ``array('Q')``, or a ``memoryview`` cast over a
-# ``multiprocessing.shared_memory`` buffer.
-
-
-def pack_prefix(prefix: Prefix) -> int:
-    """*prefix* as a sortable integer key: ``network << 8 | length``."""
-    return (prefix.network << 8) | prefix.length
-
-
-def unpack_prefix(key: int) -> Prefix:
-    """The :class:`Prefix` a packed key encodes."""
-    return Prefix(key >> 8, key & _KEY_LENGTH_MASK)
-
-
-def flat_exact_index(keys: Sequence[int], prefix: Prefix) -> Optional[int]:
-    """Index of exactly *prefix* in the sorted key array, or None."""
-    packed = pack_prefix(prefix)
-    index = bisect_left(keys, packed)
-    if index < len(keys) and keys[index] == packed:
-        return index
-    return None
-
-
-def flat_covered_range(keys: Sequence[int], prefix: Prefix) -> Tuple[int, int]:
-    """The contiguous slice of keys equal to or more specific than *prefix*.
-
-    CIDR alignment makes the subtree contiguous in packed order: every
-    prefix inside *prefix* has a network address in
-    ``[prefix.network, prefix.last_address]`` and sorts at or after the
-    packed *prefix* itself (shorter covering prefixes share the network
-    address but sort strictly before it).  Returns ``(start, stop)``
-    with ``start == stop`` when nothing is covered.
-    """
-    start = bisect_left(keys, pack_prefix(prefix))
-    stop = bisect_left(keys, (prefix.last_address + 1) << 8)
-    return start, stop
-
-
-def flat_covering_index(
-    keys: Sequence[int], lengths: Sequence[int], prefix: Prefix
-) -> Optional[int]:
-    """Index of the least-specific stored prefix covering *prefix*.
-
-    *lengths* is the ascending set of lengths present in *keys* — the
-    same truncation-probe trick as :meth:`RibSnapshot.covering_origins`:
-    every cover of *prefix* is ``prefix.supernet(L)``, so probing each
-    advertised length ascending finds the least-specific cover first.
-    """
-    for length in lengths:
-        if length > prefix.length:
-            break
-        index = flat_exact_index(keys, prefix.supernet(length))
-        if index is not None:
-            return index
-    return None
-
-
-def flat_longest_match_index(
-    keys: Sequence[int], lengths: Sequence[int], prefix: Prefix
-) -> Optional[int]:
-    """Index of the most-specific stored prefix covering *prefix* (LPM)."""
-    for position in range(len(lengths) - 1, -1, -1):
-        length = lengths[position]
-        if length > prefix.length:
-            continue
-        index = flat_exact_index(keys, prefix.supernet(length))
-        if index is not None:
-            return index
-    return None
 
 
 def resolve_covering_chain(

@@ -51,7 +51,7 @@ from urllib.parse import unquote
 
 from ..net import AddressError, Prefix
 from ..temporal import TemporalProduct
-from .index import MAX_LISTING, LeaseIndex, parse_asn_text
+from ..core.leaseindex import MAX_LISTING, LeaseIndex, parse_asn_text
 from .reload import SnapshotManager
 
 __all__ = ["LeaseQueryServer", "DEFAULT_CACHE_SIZE", "MAX_BULK"]

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..bench import _cpu_count
 from ..net import Prefix
 from .http import DEFAULT_CACHE_SIZE, LeaseQueryServer
-from .index import LeaseIndex
+from ..core.leaseindex import LeaseIndex
 from .reload import SnapshotManager
 
 __all__ = [

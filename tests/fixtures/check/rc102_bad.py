@@ -3,7 +3,7 @@
 from typing import Optional
 
 from repro.core.context import AnalysisContext, RibSnapshot
-from repro.serve.index import LeaseIndex
+from repro.core.leaseindex import LeaseIndex
 
 
 def poison_context(context: AnalysisContext) -> None:

@@ -1,11 +1,11 @@
 """RC109 must fire: core-layer code importing its consumers."""
 # repro-check: module=repro.core.leaky
 
-from repro.serve.index import LeaseIndex
+from repro.serve.reload import SnapshotManager
 
 
-def lookup(index: LeaseIndex, prefix):
-    return index.evidence.get(prefix)
+def lookup(manager: SnapshotManager, prefix):
+    return manager.snapshot()[1].evidence.get(prefix)
 
 
 def render(report):

@@ -1,7 +1,7 @@
 """RC111 must fire: frozen snapshots passed into mutating helpers."""
 
 from repro.core.context import AnalysisContext
-from repro.serve.index import LeaseIndex
+from repro.core.leaseindex import LeaseIndex
 
 
 def _poison(context):

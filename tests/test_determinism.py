@@ -7,22 +7,29 @@ benchmark payload must keep an identical schema shape across runs
 must not depend on add/merge order.
 """
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from repro.bench import all_equivalent, run_benchmark, schema_shape
+from repro.bench import (
+    all_equivalent,
+    load_trajectory,
+    run_benchmark,
+    schema_shape,
+)
 from repro.core import LeaseInferencePipeline
 from repro.core.results import InferenceResult
 from repro.simulation import build_world, small_world
 
 
-def _run(seed, workers=1, shard_size=None):
+def _run(seed):
     world = build_world(small_world(seed=seed))
     pipeline = LeaseInferencePipeline(
         world.whois, world.routing_table, world.relationships, world.as2org
     )
-    return pipeline.run(workers=workers, shard_size=shard_size)
+    return pipeline.run()
 
 
 def _ordered(result):
@@ -37,12 +44,6 @@ class TestRunDeterminism:
     def test_same_seed_same_result_and_order(self):
         first = _run(seed=11)
         second = _run(seed=11)
-        assert first == second
-        assert _ordered(first) == _ordered(second)
-
-    def test_same_seed_parallel_is_deterministic(self):
-        first = _run(seed=11, workers=2, shard_size=16)
-        second = _run(seed=11, workers=2, shard_size=16)
         assert first == second
         assert _ordered(first) == _ordered(second)
 
@@ -92,14 +93,14 @@ class TestBenchSchemaDeterminism:
 
     def test_quick_payload_sanity(self, quick_reports):
         report = quick_reports[0]
-        assert report["schema"] == {"name": "BENCH_pipeline", "version": 3}
+        assert report["schema"] == {"name": "BENCH_pipeline", "version": 4}
         assert report["config"]["quick"] is True
         assert report["config"]["extensions"] is True
         assert all_equivalent(report)
         (world,) = report["worlds"]
         assert world["size"] == "small"
         assert [mode["mode"] for mode in world["modes"]] == [
-            "reference", "serial", "parallel-2",
+            "reference", "serial",
         ]
         for mode in world["modes"]:
             assert mode["equivalent"] is True
@@ -121,7 +122,7 @@ class TestBenchSchemaDeterminism:
         assert set(extensions) == {"legacy", "rpki", "longitudinal"}
         for section in extensions.values():
             assert [mode["mode"] for mode in section["modes"]] == [
-                "reference", "serial", "parallel-2",
+                "reference", "serial",
             ]
             for mode in section["modes"]:
                 assert mode["equivalent"] is True
@@ -144,62 +145,29 @@ class TestBenchSchemaDeterminism:
     def test_memory_columns_null_without_flag(self, quick_reports):
         (world,) = quick_reports[0]["worlds"]
         for mode in world["modes"]:
-            assert mode["payload_bytes"] is None
-            assert mode["segment_bytes"] is None
             assert mode["peak_rss_bytes"] is None
-            assert mode["peak_child_rss_bytes"] is None
+            # v4 dropped the parallel-engine columns
+            for gone in ("workers", "shard_size", "payload_bytes",
+                         "segment_bytes", "speedup_vs_serial",
+                         "peak_child_rss_bytes"):
+                assert gone not in mode
 
 
 class TestBenchMemoryModes:
-    """The v3 memory/shm/spawn accounting (`--memory --shm --spawn`)."""
+    """The ``--memory`` peak-RSS accounting."""
 
     @pytest.fixture(scope="class")
     def report(self):
         return run_benchmark(
-            quick=True,
-            seed=3,
-            extensions=False,
-            memory=True,
-            spawn=True,
-            shm=True,
+            quick=True, seed=3, extensions=False, memory=True
         )
 
     def test_mode_grid(self, report):
         (world,) = report["worlds"]
         assert [mode["mode"] for mode in world["modes"]] == [
-            "reference", "serial", "parallel-2", "parallel-2-shm",
-            "spawn-2", "spawn-2-shm",
+            "reference", "serial",
         ]
         assert all(mode["equivalent"] for mode in world["modes"])
-
-    def test_speedup_vs_serial_tri_state(self, report):
-        (world,) = report["worlds"]
-        modes = {mode["mode"]: mode for mode in world["modes"]}
-        # null for the reference row, a ratio when the host has the
-        # cores, the explicit marker when it does not (oversubscription
-        # measures the scheduler, not the code)
-        assert modes["reference"]["speedup_vs_serial"] is None
-        assert modes["serial"]["speedup_vs_serial"] == 1.0
-        for name in ("parallel-2", "spawn-2", "spawn-2-shm"):
-            value = modes[name]["speedup_vs_serial"]
-            if report["host"]["cpus"] < 2:
-                assert value == "insufficient_cpus"
-            else:
-                assert isinstance(value, float)
-
-    def test_spawn_payload_drops_to_o1_descriptor(self, report):
-        # The headline of the shared-memory engine: a spawn worker's
-        # payload is the pickled context without shm, the O(1)
-        # attach-by-name descriptor with it.
-        (world,) = report["worlds"]
-        modes = {mode["mode"]: mode for mode in world["modes"]}
-        pickled = modes["spawn-2"]["payload_bytes"]
-        descriptor = modes["spawn-2-shm"]["payload_bytes"]
-        assert pickled > 4 * 1024
-        assert descriptor < 4 * 1024
-        assert pickled > 4 * descriptor
-        assert modes["spawn-2-shm"]["segment_bytes"] > 0
-        assert modes["spawn-2"]["segment_bytes"] is None
 
     def test_peak_rss_populated(self, report):
         (world,) = report["worlds"]
@@ -211,9 +179,21 @@ class TestBenchMemoryModes:
         from repro.reporting.bench import render_bench_report
 
         text = render_bench_report(report)
-        assert "payload" in text
         assert "peak rss" in text
-        assert "KB" in text or "MB" in text
+        assert "MB" in text
+
+    def test_committed_older_runs_still_render(self):
+        from repro.reporting.bench import render_bench_report
+
+        path = Path(__file__).parents[1] / "BENCH_pipeline.json"
+        runs = load_trajectory(path)
+        versions = {run["schema"]["version"] for run in runs}
+        assert {1, 2, 3} <= versions
+        for run in runs:
+            text = render_bench_report(run)
+            assert "Pipeline bench" in text
+            if run["schema"]["version"] < 4:
+                assert "parallel-" in text  # older runs keep their modes
 
 
 class TestBenchCli:
@@ -226,10 +206,8 @@ class TestBenchCli:
         captured = capsys.readouterr().out
         assert rc == 0
         assert out.exists()
-        import json
-
         payload = json.loads(out.read_text())
-        assert payload["schema"] == {"name": "BENCH_pipeline", "version": 3}
+        assert payload["schema"] == {"name": "BENCH_pipeline", "version": 4}
         assert len(payload["runs"]) == 1
         assert "Pipeline bench" in captured
         assert f"wrote {out}" in captured
@@ -238,8 +216,6 @@ class TestBenchCli:
         """Satellite: BENCH_pipeline.json is a trajectory now — a second
         run appends instead of overwriting, and a v1 single-run file is
         migrated to runs[0]."""
-        import json
-
         from repro.bench import write_benchmark
 
         out = tmp_path / "BENCH.json"
@@ -253,19 +229,21 @@ class TestBenchCli:
         write_benchmark(run, out)
         write_benchmark(run, out)
         payload = json.loads(out.read_text())
-        assert payload["schema"] == {"name": "BENCH_pipeline", "version": 3}
+        assert payload["schema"] == {"name": "BENCH_pipeline", "version": 4}
         assert len(payload["runs"]) == 3
         # the migrated v1 run keeps its original stamp as provenance
         assert payload["runs"][0]["schema"]["version"] == 1
-        assert payload["runs"][1]["schema"]["version"] == 3
+        assert payload["runs"][1]["schema"]["version"] == 4
 
     def test_bad_size_and_workers_are_rejected(self, tmp_path, capsys):
         from repro.cli import main
 
         out = tmp_path / "BENCH.json"
         assert main(["bench", "--sizes", "galactic", "--out", str(out)]) == 2
-        assert main(["bench", "--workers", "two", "--out", str(out)]) == 2
+        assert "unknown bench sizes" in capsys.readouterr().out
+        # the engines are serial: the worker flag is gone, not ignored
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--workers", "2", "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
         assert not out.exists()
-        stdout = capsys.readouterr().out
-        assert "unknown bench sizes" in stdout
-        assert "bad --workers" in stdout

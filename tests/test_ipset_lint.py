@@ -1,4 +1,4 @@
-"""Tests for IPSet algebra and the WHOIS linter."""
+"""Tests for IPSet algebra and the W-series WHOIS diagnostics."""
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +14,25 @@ from repro.whois import (
     OrgRecord,
     WhoisDatabase,
 )
-from repro.whois.lint import LintLevel, lint_database
+from repro.diagnostics import (
+    DiagnosticContext,
+    DiagnosticsConfig,
+    DiagnosticsEngine,
+    Severity,
+)
+
+#: The structural WHOIS rules: unknown status, dangling organisation
+#: (inetnum, aut-num), orphaned non-portable block, duplicate range,
+#: inverted range.
+WHOIS_CODES = ("W101", "W102", "W103", "W104", "W105", "W106")
+
+
+def lint_database(database):
+    """The W-series findings for one regional database."""
+    engine = DiagnosticsEngine(
+        config=DiagnosticsConfig.build(select=WHOIS_CODES)
+    )
+    return engine.run(DiagnosticContext.whois_only(database)).findings
 
 
 def ipset(*texts):
@@ -115,15 +133,11 @@ class TestWhoisLint:
         world = build_world(small_world())
         for database in world.whois:
             issues = lint_database(database)
-            errors = [i for i in issues if i.level is LintLevel.ERROR]
+            errors = [i for i in issues if i.severity is Severity.ERROR]
             assert errors == []
             # Orphan warnings only for legacy-induced /22 leftovers etc.
             for issue in issues:
-                assert issue.code in (
-                    "orphan-nonportable",
-                    "unknown-status",
-                    "duplicate-range",
-                )
+                assert issue.code in ("W104", "W101", "W105")
 
     def test_unknown_status_flagged(self):
         database = WhoisDatabase(RIR.RIPE)
@@ -135,7 +149,7 @@ class TestWhoisLint:
             )
         )
         issues = lint_database(database)
-        assert any(i.code == "unknown-status" for i in issues)
+        assert any(i.code == "W101" for i in issues)
 
     def test_dangling_org_flagged(self):
         database = WhoisDatabase(RIR.RIPE)
@@ -151,9 +165,9 @@ class TestWhoisLint:
             AutNumRecord(rir=RIR.RIPE, asn=1, org_id="ORG-MISSING")
         )
         issues = lint_database(database)
-        dangling = [i for i in issues if i.code == "dangling-org"]
-        assert len(dangling) == 2
-        assert all(i.level is LintLevel.ERROR for i in dangling)
+        dangling = [i for i in issues if i.code in ("W102", "W103")]
+        assert sorted(i.code for i in dangling) == ["W102", "W103"]
+        assert all(i.severity is Severity.ERROR for i in dangling)
 
     def test_orphan_nonportable_flagged(self):
         database = WhoisDatabase(RIR.RIPE)
@@ -165,7 +179,7 @@ class TestWhoisLint:
             )
         )
         issues = lint_database(database)
-        assert any(i.code == "orphan-nonportable" for i in issues)
+        assert any(i.code == "W104" for i in issues)
 
     def test_duplicate_range_flagged(self):
         database = WhoisDatabase(RIR.RIPE)
@@ -178,7 +192,7 @@ class TestWhoisLint:
                 )
             )
         issues = lint_database(database)
-        assert sum(1 for i in issues if i.code == "duplicate-range") == 1
+        assert sum(1 for i in issues if i.code == "W105") == 1
 
     def test_duplicate_message_names_range_and_holders(self):
         # A finding must carry enough subject detail to act on: the
@@ -196,14 +210,12 @@ class TestWhoisLint:
             database.add(
                 OrgRecord(rir=RIR.RIPE, org_id=org, name=org.title())
             )
-        duplicates = [
-            i for i in lint_database(database) if i.code == "duplicate-range"
-        ]
+        duplicates = [i for i in lint_database(database) if i.code == "W105"]
         assert len(duplicates) == 1
         issue = duplicates[0]
-        assert "10.0.0.0 - 10.0.255.255" in issue.detail
-        assert "ORG-FIRST" in issue.detail
-        assert "ORG-SECOND" in issue.detail
+        assert "10.0.0.0 - 10.0.255.255" in issue.message
+        assert "ORG-FIRST" in issue.message
+        assert "ORG-SECOND" in issue.message
 
     def test_inverted_range_reported_as_error(self):
         # Parsers reject inverted ranges, but records built
@@ -218,12 +230,10 @@ class TestWhoisLint:
                 rir=RIR.RIPE, range=bad_range, status="ALLOCATED PA"
             )
         )
-        inverted = [
-            i for i in lint_database(database) if i.code == "inverted-range"
-        ]
+        inverted = [i for i in lint_database(database) if i.code == "W106"]
         assert len(inverted) == 1
-        assert inverted[0].level is LintLevel.ERROR
-        assert "10.0.0.255" in inverted[0].detail
+        assert inverted[0].severity is Severity.ERROR
+        assert "10.0.0.255" in inverted[0].message
 
     def test_issue_str(self):
         database = WhoisDatabase(RIR.RIPE)
@@ -235,4 +245,5 @@ class TestWhoisLint:
             )
         )
         issue = lint_database(database)[0]
-        assert "unknown-status" in str(issue)
+        assert "W101" in str(issue)
+        assert str(issue).startswith("warning:")

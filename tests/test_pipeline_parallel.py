@@ -1,15 +1,13 @@
-"""Tests for the sharded inference pipeline and its substrate.
+"""Tests for the fast inference pipeline and its substrate.
 
 Covers the fast engine (AnalysisContext + ShardClassifier) against the
-frozen reference engine, the parallel path against the serial path —
-including forced spawn mode — the shared-context snapshots, the
-memoization layers, shard planning, the routing-table exact index,
-InferenceResult merge semantics, and the reserve address pools that
-make worlds scalable.
+frozen reference engine, the shared-context snapshots, the memoization
+layers, shard planning and the process fan-out, the routing-table exact
+index, InferenceResult merge semantics, and the reserve address pools
+that make worlds scalable.
 """
 
 import dataclasses
-import pickle
 
 import pytest
 
@@ -24,9 +22,9 @@ from repro.core import (
     MemoizedClassifier,
     RelatednessOracle,
     RibSnapshot,
-    effective_workers,
     infer_leases,
     plan_shards,
+    run_sharded,
 )
 from repro.core.allocation_tree import AllocationTree
 from repro.core.classify import classify_leaf
@@ -48,6 +46,11 @@ def pipeline(world):
     return LeaseInferencePipeline(
         world.whois, world.routing_table, world.relationships, world.as2org
     )
+
+
+def _slice_runner(payload, shard):
+    """Module-level ``run_sharded`` runner (spawn imports it by name)."""
+    return payload[shard.start : shard.stop]
 
 
 def _rows(result):
@@ -116,77 +119,37 @@ class TestEngineEquivalence:
     def test_fast_serial_matches_reference(self, pipeline):
         reference = pipeline.run_reference()
         ref_stats = pipeline.stats()
-        serial = pipeline.run(workers=1)
+        serial = pipeline.run()
         assert _rows(serial) == _rows(reference)
         assert pipeline.stats() == ref_stats
 
-    def test_parallel_matches_serial(self, pipeline):
-        serial = pipeline.run(workers=1)
-        parallel = pipeline.run(workers=4, shard_size=16)
-        assert _rows(parallel) == _rows(serial)
-        assert parallel == serial
-
     def test_single_rir_subset(self, pipeline):
-        serial = pipeline.run(rirs=[RIR.RIPE], workers=1)
-        parallel = pipeline.run(rirs=[RIR.RIPE], workers=2, shard_size=8)
-        assert _rows(parallel) == _rows(serial)
+        reference = pipeline.run_reference(rirs=[RIR.RIPE])
+        fast = pipeline.run(rirs=[RIR.RIPE])
+        assert _rows(fast) == _rows(reference)
         assert set(pipeline.stats()) == {RIR.RIPE}
 
-    def test_infer_leases_accepts_worker_options(self, world):
-        serial = infer_leases(
+    def test_infer_leases_matches_pipeline(self, world, pipeline):
+        result = infer_leases(
             world.whois, world.routing_table, world.relationships,
             world.as2org,
         )
-        parallel = infer_leases(
-            world.whois, world.routing_table, world.relationships,
-            world.as2org, workers=2, shard_size=16,
-        )
-        assert parallel == serial
+        assert _rows(result) == _rows(pipeline.run())
 
     def test_timings_recorded(self, pipeline):
         pipeline.run()
         assert set(pipeline.timings) == {"tree_build_s", "classify_s"}
         assert all(value >= 0 for value in pipeline.timings.values())
 
-    def test_spawn_mode_matches_serial(self, world, monkeypatch):
-        """Satellite: without fork, the sharded engine must still match.
-
-        Forcing ``fork_available()`` false makes ``run_sharded`` build a
-        real spawn pool, which exercises pickling the shared context to
-        the workers.
-        """
-        import repro.core.sharding as sharding
-
-        serial = LeaseInferencePipeline(
-            world.whois, world.routing_table, world.relationships,
-            world.as2org,
-        ).run(workers=1)
-        monkeypatch.setattr(
-            sharding.multiprocessing,
-            "get_all_start_methods",
-            lambda: ["spawn"],
-        )
-        monkeypatch.setattr(
-            sharding.multiprocessing,
-            "get_start_method",
-            lambda allow_none=False: "spawn",
-        )
-        assert not sharding.fork_available()
-        spawned = LeaseInferencePipeline(
-            world.whois, world.routing_table, world.relationships,
-            world.as2org,
-        ).run(workers=2, shard_size=16)
-        assert _rows(spawned) == _rows(serial)
-
     def test_run_reuses_supplied_context(self, world, pipeline):
-        serial = pipeline.run(workers=1)
+        serial = pipeline.run()
         context = pipeline.context
         assert context is not None
         fresh = LeaseInferencePipeline(
             world.whois, world.routing_table, world.relationships,
             world.as2org,
         )
-        reused = fresh.run(workers=1, context=context)
+        reused = fresh.run(context=context)
         assert fresh.context is context
         assert _rows(reused) == _rows(serial)
 
@@ -234,15 +197,16 @@ class TestAnalysisContext:
             for org_id, asns in context.assigned[rir].items():
                 assert asns == frozenset(database.asns_of_org(org_id))
 
-    def test_pickle_drops_leaf_records(self, context):
-        clone = pickle.loads(pickle.dumps(context))
-        assert clone.leaf_keys == context.leaf_keys
-        assert clone.related_sets == context.related_sets
-        assert clone.rib.covering_origins(
-            Prefix.parse("0.0.0.0/0")
-        ) == context.rib.covering_origins(Prefix.parse("0.0.0.0/0"))
-        with pytest.raises(RuntimeError, match="stripped"):
-            clone.leaves(context.rirs[0])
+    def test_leaves_follow_the_scan(self, world, context):
+        for rir in context.rirs:
+            scan = AllocationScan(world.whois[rir])
+            assert [leaf.prefix for leaf in context.leaves(rir)] == [
+                leaf.prefix for leaf in scan.classifiable_leaves()
+            ]
+        assert context.total_leaves() == sum(
+            len(context.leaves(rir)) for rir in context.rirs
+        )
+        assert context.leaves(RIR.RIPE) is context.leaves(RIR.RIPE)
 
     def test_build_related_sets_contains_self(self, world):
         related = build_related_sets(world.relationships, world.as2org)
@@ -366,7 +330,7 @@ class TestMemoization:
             world.whois, world.routing_table, world.relationships,
             world.as2org,
         )
-        fresh.run(workers=1)
+        fresh.run()
         stats = fresh.cache_stats()
         assert stats.relatedness_hits > 0
         assert stats.hit_rates()["relatedness"] > 0.0
@@ -420,16 +384,24 @@ class TestShardPlanning:
         assert plan_shards([], shard_size=4) == []
         assert plan_shards([0, 0], shard_size=4) == []
 
-    def test_effective_workers_serial_cases(self):
-        assert effective_workers(1, total_items=10_000, shard_size=16) == 1
-        assert effective_workers(0, total_items=10_000, shard_size=16) == 1
-        # one shard's worth of work is not worth a pool
-        assert effective_workers(4, total_items=10, shard_size=16) == 1
+    def test_plan_shards_rejects_empty_shards(self):
+        with pytest.raises(ValueError):
+            plan_shards([4], shard_size=0)
 
-    def test_effective_workers_parallel_case(self):
-        # No fork gate any more: the context is spawn-safe, so the pool
-        # runs wherever a start method exists.
-        assert effective_workers(4, total_items=10_000, shard_size=16) == 4
+    @pytest.mark.parametrize("fork", [True, False], ids=["fork", "spawn"])
+    def test_run_sharded_returns_outputs_in_plan_order(
+        self, monkeypatch, fork
+    ):
+        """Fork where the platform has it, spawn otherwise — same rows."""
+        import repro.core.sharding as sharding
+
+        if fork and not sharding.fork_available():
+            pytest.skip("platform cannot fork")
+        monkeypatch.setattr(sharding, "fork_available", lambda: fork)
+        items = tuple(range(23))
+        shards, outputs = run_sharded(items, _slice_runner, [23], 2, 5)
+        assert [len(shard) for shard in shards] == [5, 5, 5, 5, 3]
+        assert [item for rows in outputs for item in rows] == list(items)
 
 
 class TestInferenceResultOps:

@@ -165,36 +165,13 @@ class TestStreamingGeneration:
 
 
 class TestEngineEquivalence:
-    @pytest.fixture(scope="class")
-    def digests(self, world):
-        def run(**kwargs):
-            pipeline = LeaseInferencePipeline(
-                world.whois,
-                world.routing_table,
-                world.relationships,
-                world.as2org,
-            )
-            return result_digest(pipeline.run(shard_size=64, **kwargs))
-
-        return {
-            "serial": run(workers=1),
-            "fork": run(workers=2),
-            "fork-shm": run(workers=2, use_shm=True),
-            "spawn-shm": run(
-                workers=2, use_shm=True, start_method="spawn"
-            ),
-        }
-
-    def test_all_modes_bit_identical(self, digests):
-        assert len(set(digests.values())) == 1, digests
-
-    def test_digest_matches_frozen_reference(self, world, digests):
+    def test_digest_matches_frozen_reference(self, world):
         pipeline = LeaseInferencePipeline(
             world.whois, world.routing_table, world.relationships,
             world.as2org,
         )
-        reference = result_digest(pipeline.run_reference())
-        assert digests["serial"] == reference
+        fast = result_digest(pipeline.run())
+        assert fast == result_digest(pipeline.run_reference())
 
 
 @pytest.mark.skipif(
@@ -207,5 +184,5 @@ def test_full_xlarge_reaches_internet_scale():
     pipeline = LeaseInferencePipeline(
         world.whois, world.routing_table, world.relationships, world.as2org
     )
-    pipeline.run(workers=1)
+    pipeline.run()
     assert pipeline.context.total_leaves() >= 100_000
